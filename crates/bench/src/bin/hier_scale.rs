@@ -31,7 +31,7 @@ use std::time::Instant;
 use std::process::ExitCode;
 
 use incdx_bench::{run_parallel, try_scan_core, usage_error, Args, Table};
-use incdx_core::{Rectifier, RectifyConfig, Verdict};
+use incdx_core::{json_obj, Rectifier, RectifyConfig, Verdict};
 use incdx_fault::StuckAt;
 use incdx_netlist::{Abstraction, Netlist};
 use incdx_sim::{PackedMatrix, Response, Simulator};
@@ -51,7 +51,7 @@ struct Run {
     solved: bool,
     nodes: usize,
     verdict: &'static str,
-    wall_ms: u128,
+    wall_ms: u64,
     abstract_gates: usize,
     collapse_ratio: f64,
 }
@@ -102,7 +102,7 @@ fn run_mode(
     let result = Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
         .ok()?
         .run();
-    let wall_ms = started.elapsed().as_millis();
+    let wall_ms = started.elapsed().as_millis() as u64;
     let (abstract_gates, collapse_ratio) = result
         .stats
         .abstraction
@@ -227,24 +227,14 @@ fn main() -> ExitCode {
         if args.json {
             for (t, tr) in done.iter().enumerate() {
                 for (mode, run) in [("flat", &tr.flat), ("hierarchical", &tr.hier)] {
-                    println!(
-                        "{{\"report\":\"hier_scale\",\"circuit\":\"{}\",\"trial\":{},\
-                         \"mode\":\"{}\",\"gates\":{},\"faults\":{},\"budget\":{},\
-                         \"solved\":{},\"nodes\":{},\"verdict\":\"{}\",\"wall_ms\":{},\
-                         \"abstract_gates\":{},\"collapse_ratio\":{:.4}}}",
-                        name,
-                        t,
-                        mode,
-                        golden.len(),
-                        FAULTS,
-                        budget,
-                        run.solved,
-                        run.nodes,
-                        run.verdict,
-                        run.wall_ms,
-                        run.abstract_gates,
-                        run.collapse_ratio,
-                    );
+                    let record = json_obj! {
+                        "report": "hier_scale", "circuit": name, "trial": t, "mode": mode,
+                        "gates": golden.len(), "faults": FAULTS, "budget": budget,
+                        "solved": run.solved, "nodes": run.nodes, "verdict": run.verdict,
+                        "wall_ms": run.wall_ms, "abstract_gates": run.abstract_gates,
+                        "collapse_ratio": run.collapse_ratio,
+                    };
+                    println!("{record}");
                 }
             }
         }

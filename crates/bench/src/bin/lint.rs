@@ -20,6 +20,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use incdx_core::json::Json;
+use incdx_core::json_obj;
 use incdx_lint::{lint_netlist, Diagnostic, LintCode, LintExt, Severity};
 
 /// One `--deny` selector.
@@ -161,28 +163,21 @@ fn lint_suite() -> Vec<TargetReport> {
     out
 }
 
-fn emit_json(t: &TargetReport) {
-    let mut line = String::with_capacity(128);
-    line.push_str("{\"report\":\"lint\",\"target\":\"");
-    // Labels are file paths or suite names; escape via the diagnostic
-    // serializer's conventions (quotes/backslashes only realistically).
-    for c in t.label.chars() {
-        match c {
-            '"' => line.push_str("\\\""),
-            '\\' => line.push_str("\\\\"),
-            c => line.push(c),
-        }
+/// One diagnostic as a JSON object (schema in `EXPERIMENTS.md`).
+fn diagnostic_json(d: &Diagnostic) -> Json {
+    json_obj! {
+        "code": d.code.as_str(), "name": d.code.name(), "severity": d.severity.as_str(),
+        "gate": d.gate.map(|g| g.index()), "wire": d.wire.as_deref(), "message": &d.message,
+        "hint": &d.hint,
     }
-    line.push_str(&format!("\",\"findings\":{}", t.diagnostics.len()));
-    line.push_str(",\"diagnostics\":[");
-    for (i, d) in t.diagnostics.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&d.to_json());
+}
+
+/// One target's `--json` line.
+fn target_json(t: &TargetReport) -> Json {
+    json_obj! {
+        "report": "lint", "target": &t.label, "findings": t.diagnostics.len(),
+        "diagnostics": Json::arr(t.diagnostics.iter().map(diagnostic_json)),
     }
-    line.push_str("]}");
-    println!("{line}");
 }
 
 fn emit_human(t: &TargetReport) {
@@ -217,7 +212,7 @@ fn main() -> ExitCode {
     let mut denied = 0usize;
     for t in &targets {
         if args.json {
-            emit_json(t);
+            println!("{}", target_json(t));
         } else {
             emit_human(t);
         }
@@ -281,6 +276,46 @@ mod tests {
             assert!(!lint.description().is_empty());
             assert!(lint.code().as_str().starts_with("NL"));
         }
+    }
+
+    #[test]
+    fn json_escapes_and_shapes() {
+        let d = Diagnostic::global(
+            LintCode::FloatingOutput,
+            Severity::Error,
+            "netlist declares no \"outputs\"",
+            "add OUTPUT(...)",
+        );
+        assert_eq!(
+            diagnostic_json(&d).to_string(),
+            "{\"code\":\"NL005\",\"name\":\"floating-output\",\"severity\":\"error\",\
+             \"gate\":null,\"wire\":null,\"message\":\"netlist declares no \\\"outputs\\\"\",\
+             \"hint\":\"add OUTPUT(...)\"}"
+        );
+        let anchored =
+            Diagnostic::from_netlist_error(&incdx_netlist::NetlistError::DanglingOutput {
+                gate: incdx_netlist::GateId::from_index(4),
+            });
+        let j = diagnostic_json(&anchored).to_string();
+        assert!(j.contains("\"gate\":4,\"wire\":\"n4\""), "{j}");
+    }
+
+    #[test]
+    fn target_labels_are_escaped() {
+        let t = TargetReport {
+            label: "dir\twith\ttabs/new\nline \"quoted\".bench".to_string(),
+            diagnostics: vec![Diagnostic::global(
+                LintCode::ParseError,
+                Severity::Error,
+                "m",
+                "h",
+            )],
+        };
+        let line = target_json(&t).to_string();
+        assert!(!line.contains('\n') && !line.contains('\t'), "{line}");
+        let back = incdx_core::json::parse(&line).unwrap();
+        assert_eq!(back.get("target").unwrap().as_str(), Ok(t.label.as_str()));
+        assert_eq!(back.get("findings").unwrap().as_u64(), Ok(1));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! Two scenarios run back to back, both against real daemon processes
 //! over the line-JSON TCP protocol (this binary deliberately shares no
-//! code with `crates/serve` beyond the core JSON reader — it measures
+//! code with `crates/serve` beyond the core JSON codec — it measures
 //! the wire, not the internals):
 //!
 //! 1. **load** — `--threads` closed-loop clients push `--small` tiny
@@ -17,7 +17,7 @@
 //!    Queue-full rejections are honoured by sleeping the daemon's
 //!    `retry_after_ms` hint and retrying. Reported: p50/p99/max
 //!    submit→terminal latency, throughput, the interned-artifact hit
-//!    rate (basis points — nonzero is the sharing proof), rejections
+//!    rate (a fraction — nonzero is the sharing proof), rejections
 //!    and retries.
 //! 2. **recovery** — a control daemon runs one giant job uninterrupted
 //!    and records its solution fingerprint; a second daemon is
@@ -39,6 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use incdx_core::json::{self, Json};
+use incdx_core::json_obj;
 
 struct LoadArgs {
     daemon: PathBuf,
@@ -139,7 +140,7 @@ impl Client {
     fn wait_terminal(&mut self, job: u64, timeout: Duration) -> Result<Json, String> {
         let deadline = Instant::now() + timeout;
         loop {
-            let s = self.request(&format!("{{\"req\":\"status\",\"job\":{job}}}"))?;
+            let s = self.request(&status_request(job))?;
             let state = s.get("state").and_then(|v| v.as_str()).unwrap_or("");
             if matches!(state, "done" | "cancelled" | "failed") {
                 return Ok(s);
@@ -150,6 +151,10 @@ impl Client {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
+}
+
+fn status_request(job: u64) -> String {
+    json_obj! { "req": "status", "job": job }.to_string()
 }
 
 struct Daemon {
@@ -345,7 +350,7 @@ fn run_recovery(args: &LoadArgs) -> Result<RecoverySummary, String> {
     let (id, _) = submit_with_backoff(&mut client, GIANT_SUBMIT)?;
     let deadline = Instant::now() + Duration::from_secs(120);
     let slices_before_kill = loop {
-        let s = client.request(&format!("{{\"req\":\"status\",\"job\":{id}}}"))?;
+        let s = client.request(&status_request(id))?;
         let state = s.get("state").and_then(|v| v.as_str()).unwrap_or("");
         let slices = s.get("slices").and_then(|v| v.as_u64()).unwrap_or(0);
         if matches!(state, "done" | "cancelled" | "failed") {
@@ -398,15 +403,12 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
+fn stat<'a>(stats: &'a Json, path: &[&str]) -> Option<&'a Json> {
+    path.iter().try_fold(stats, |v, key| v.get_opt(key))
+}
+
 fn stat_u64(stats: &Json, path: &[&str]) -> u64 {
-    let mut v = stats;
-    for key in path {
-        match v.get_opt(key) {
-            Some(inner) => v = inner,
-            None => return 0,
-        }
-    }
-    v.as_u64().unwrap_or(0)
+    stat(stats, path).and_then(|v| v.as_u64().ok()).unwrap_or(0)
 }
 
 fn main() -> ExitCode {
@@ -439,10 +441,13 @@ fn main() -> ExitCode {
     let max = load.latencies_ms.last().copied().unwrap_or(0.0);
     let jobs = load.latencies_ms.len() + args.giants;
     let throughput = jobs as f64 / load.wall.as_secs_f64();
-    let hit_rate_bp = stat_u64(&load.stats, &["intern", "hit_rate_bp"]);
+    let hit_rate = stat(&load.stats, &["intern", "hit_rate"])
+        .and_then(|v| v.as_f64().ok())
+        .unwrap_or(0.0);
     eprintln!(
         "    p50 {p50:.1} ms, p99 {p99:.1} ms, max {max:.1} ms; {throughput:.1} jobs/s; \
-         intern hit rate {hit_rate_bp} bp; {} retries",
+         intern hit rate {:.2}%; {} retries",
+        hit_rate * 100.0,
         load.retries
     );
 
@@ -461,32 +466,28 @@ fn main() -> ExitCode {
     let _ = std::fs::remove_dir_all(&args.spool_root);
 
     if args.json {
-        println!(
-            "{{\"bench\":\"serve\",\"workers\":{},\"client_threads\":{},\"small_jobs\":{},\"giant_jobs\":{},\
-             \"latency_ms\":{{\"p50\":{p50:.3},\"p99\":{p99:.3},\"max\":{max:.3}}},\
-             \"throughput_jobs_per_s\":{throughput:.3},\
-             \"intern\":{{\"hits\":{},\"misses\":{},\"hit_rate_bp\":{hit_rate_bp}}},\
-             \"rejected\":{},\"retries\":{},\"checkpoint_repairs\":{},\
-             \"recovery\":{{\"control_fp\":{},\"recovered_fp\":{},\"jobs_recovered\":{},\
-             \"slices_before_kill\":{},\"identical\":{}}}}}",
-            args.workers,
-            args.threads,
-            load.latencies_ms.len(),
-            args.giants,
-            stat_u64(&load.stats, &["intern", "hits"]),
-            stat_u64(&load.stats, &["intern", "misses"]),
-            stat_u64(&load.stats, &["rejected"]),
-            load.retries,
-            stat_u64(&load.stats, &["checkpoint_repairs"]),
-            rec.control_fp,
-            rec.recovered_fp,
-            rec.jobs_recovered,
-            rec.slices_before_kill,
-            rec.identical,
-        );
+        let count = |path: &[&str]| stat_u64(&load.stats, path);
+        let record = json_obj! {
+            "bench": "serve", "workers": args.workers, "client_threads": args.threads,
+            "small_jobs": load.latencies_ms.len(), "giant_jobs": args.giants,
+            "latency_ms": json_obj! { "p50": p50, "p99": p99, "max": max },
+            "throughput_jobs_per_s": throughput,
+            "intern": json_obj! {
+                "hits": count(&["intern", "hits"]), "misses": count(&["intern", "misses"]),
+                "hit_rate": hit_rate,
+            },
+            "rejected": count(&["rejected"]), "retries": load.retries,
+            "checkpoint_repairs": count(&["checkpoint_repairs"]),
+            "recovery": json_obj! {
+                "control_fp": rec.control_fp, "recovered_fp": rec.recovered_fp,
+                "jobs_recovered": rec.jobs_recovered,
+                "slices_before_kill": rec.slices_before_kill, "identical": rec.identical,
+            },
+        };
+        println!("{record}");
     }
 
-    if !rec.identical || rec.jobs_recovered != 1 || hit_rate_bp == 0 {
+    if !rec.identical || rec.jobs_recovered != 1 || hit_rate <= 0.0 {
         eprintln!(
             "serve_load: acceptance failed (identical recovery + nonzero intern hit rate required)"
         );

@@ -7,17 +7,13 @@
 
 use std::process::ExitCode;
 
-use incdx_core::{escape_json, Checkpoint, IncdxError};
+use incdx_core::{json_obj, Checkpoint, IncdxError};
 
 use crate::experiments::save_checkpoint;
 
 /// The one-line record [`engine_error`] prints (separate for testing).
 pub fn engine_error_record(label: &str, err: &IncdxError) -> String {
-    format!(
-        "{{\"error\":\"incdx\",\"label\":\"{}\",\"detail\":\"{}\"}}",
-        escape_json(label),
-        escape_json(&err.to_string())
-    )
+    json_obj! { "error": "incdx", "label": label, "detail": err.to_string() }.to_string()
 }
 
 /// Terminates a binary on a failed engine run: prints the machine-readable
@@ -64,12 +60,12 @@ mod tests {
             expected: 3,
             got: 1,
         };
-        let record = engine_error_record("table1/c432a/k2/t0 \"x\"", &err);
-        assert!(
-            record.starts_with("{\"error\":\"incdx\",\"label\":\"table1/c432a/k2/t0 \\\"x\\\"\"")
+        let record = engine_error_record("table1/c432a/k2/t0 \"x\"\n", &err);
+        assert_eq!(
+            record,
+            format!(
+                "{{\"error\":\"incdx\",\"label\":\"table1/c432a/k2/t0 \\\"x\\\"\\n\",\"detail\":\"{err}\"}}"
+            )
         );
-        assert!(record.contains("\"detail\":\""));
-        assert!(!record.contains('\n'));
-        assert_eq!(record.matches('{').count(), record.matches('}').count());
     }
 }

@@ -14,9 +14,8 @@
 //! tree and are never captured, so a checkpoint taken mid-dispatch is
 //! indistinguishable from a serial one.
 //!
-//! The format is a single line of JSON, hand-rolled like the rest of
-//! the workspace's serialization (no serde): integers, booleans,
-//! strings, arrays and objects only. Candidate scores are `f64`s
+//! The format is a single line of JSON written and read through the
+//! workspace codec ([`crate::json`]). Candidate scores are `f64`s
 //! serialized as their IEEE-754 **bit patterns** (`u64`) so round-trips
 //! are exact. The full schema is documented in `EXPERIMENTS.md`.
 //!
@@ -33,6 +32,7 @@ use incdx_netlist::{GateId, GateKind, Netlist};
 
 use crate::error::IncdxError;
 use crate::json::Json;
+use crate::json_obj;
 use crate::tree::RankedCorrection;
 
 /// Schema version written by [`Checkpoint::to_json`] and required by
@@ -102,50 +102,19 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Renders the checkpoint as a single line of JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"checkpoint\":\"incdx\"");
-        push_kv_u64(&mut out, "version", u64::from(self.version));
-        push_kv_str(&mut out, "label", &self.label);
-        push_kv_u64(&mut out, "trial_seed", self.trial_seed);
-        push_kv_u64(&mut out, "vectors", self.vectors as u64);
-        out.push_str(&format!(
-            ",\"base\":{{\"gates\":{},\"hash\":{}}}",
-            self.base_gates, self.base_hash
-        ));
-        out.push_str(&format!(
-            ",\"search\":{{\"level\":{},\"phase\":{},\"iterations\":{},\"plan\":[",
-            self.level, self.phase, self.iterations
-        ));
-        for (i, p) in self.plan.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&p.to_string());
+        json_obj! {
+            "checkpoint": "incdx", "version": self.version, "label": &self.label,
+            "trial_seed": self.trial_seed, "vectors": self.vectors,
+            "base": json_obj! { "gates": self.base_gates, "hash": self.base_hash },
+            "search": json_obj! {
+                "level": self.level, "phase": self.phase, "iterations": self.iterations,
+                "plan": Json::arr(self.plan.iter().copied()), "plan_pos": self.plan_pos,
+            },
+            "nodes": Json::arr(self.nodes.iter().map(node_json)),
+            "visited": tuples_json(&self.visited),
+            "solutions": tuples_json(&self.solutions),
         }
-        out.push_str(&format!("],\"plan_pos\":{}}}", self.plan_pos));
-        out.push_str(",\"nodes\":[");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_node(&mut out, n);
-        }
-        out.push_str("],\"visited\":[");
-        for (i, v) in self.visited.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_corrections(&mut out, v);
-        }
-        out.push_str("],\"solutions\":[");
-        for (i, s) in self.solutions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_corrections(&mut out, s);
-        }
-        out.push_str("]}");
-        out
+        .to_string()
     }
 
     /// Parses a checkpoint produced by [`Checkpoint::to_json`].
@@ -234,83 +203,56 @@ pub fn netlist_fingerprint(netlist: &Netlist) -> u64 {
 // Writing
 // ---------------------------------------------------------------------
 
-fn push_kv_u64(out: &mut String, key: &str, v: u64) {
-    out.push_str(&format!(",\"{key}\":{v}"));
-}
-
-fn push_kv_str(out: &mut String, key: &str, v: &str) {
-    out.push_str(&format!(",\"{key}\":\"{}\"", crate::report::escape_json(v)));
-}
-
-fn write_node(out: &mut String, n: &CheckpointNode) {
-    out.push_str(&format!("{{\"next\":{},\"failing\":{}", n.next, n.failing));
-    out.push_str(",\"corrections\":");
-    write_corrections(out, &n.corrections);
-    out.push_str(",\"candidates\":[");
-    for (i, rc) in n.candidates.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_ranked(out, rc);
+fn node_json(n: &CheckpointNode) -> Json {
+    json_obj! {
+        "next": n.next, "failing": n.failing,
+        "corrections": corrections_json(&n.corrections),
+        "candidates": Json::arr(n.candidates.iter().map(ranked_json)),
     }
-    out.push_str("]}");
 }
 
-fn write_corrections(out: &mut String, cs: &[Correction]) {
-    out.push('[');
-    for (i, c) in cs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_correction(out, c);
-    }
-    out.push(']');
+fn tuples_json(tuples: &[Vec<Correction>]) -> Json {
+    Json::arr(tuples.iter().map(|t| corrections_json(t)))
 }
 
-fn write_correction(out: &mut String, c: &Correction) {
-    out.push_str(&format!("{{\"line\":{}", c.line().index()));
+fn corrections_json(cs: &[Correction]) -> Json {
+    Json::arr(cs.iter().map(correction_json))
+}
+
+fn correction_json(c: &Correction) -> Json {
+    let line = c.line().index();
     match c.action() {
-        CorrectionAction::SetConst(v) => out.push_str(&format!(",\"t\":\"set-const\",\"v\":{v}")),
-        CorrectionAction::ChangeKind(kind) => out.push_str(&format!(
-            ",\"t\":\"change-kind\",\"k\":\"{}\"",
-            kind.token()
-        )),
+        CorrectionAction::SetConst(v) => json_obj! { "line": line, "t": "set-const", "v": v },
+        CorrectionAction::ChangeKind(kind) => {
+            json_obj! { "line": line, "t": "change-kind", "k": kind.token() }
+        }
         CorrectionAction::InvertInput { port } => {
-            out.push_str(&format!(",\"t\":\"invert-input\",\"p\":{port}"))
+            json_obj! { "line": line, "t": "invert-input", "p": port }
         }
         CorrectionAction::RemoveInput { port } => {
-            out.push_str(&format!(",\"t\":\"remove-input\",\"p\":{port}"))
+            json_obj! { "line": line, "t": "remove-input", "p": port }
         }
         CorrectionAction::AddInput { source } => {
-            out.push_str(&format!(",\"t\":\"add-input\",\"s\":{}", source.index()))
+            json_obj! { "line": line, "t": "add-input", "s": source.index() }
         }
-        CorrectionAction::ReplaceInput { port, source } => out.push_str(&format!(
-            ",\"t\":\"replace-input\",\"p\":{port},\"s\":{}",
-            source.index()
-        )),
+        CorrectionAction::ReplaceInput { port, source } => {
+            json_obj! { "line": line, "t": "replace-input", "p": port, "s": source.index() }
+        }
         CorrectionAction::WireThrough { port } => {
-            out.push_str(&format!(",\"t\":\"wire-through\",\"p\":{port}"))
+            json_obj! { "line": line, "t": "wire-through", "p": port }
         }
-        CorrectionAction::InsertGate { kind, other } => out.push_str(&format!(
-            ",\"t\":\"insert-gate\",\"k\":\"{}\",\"s\":{}",
-            kind.token(),
-            other.index()
-        )),
+        CorrectionAction::InsertGate { kind, other } => {
+            json_obj! { "line": line, "t": "insert-gate", "k": kind.token(), "s": other.index() }
+        }
     }
-    out.push('}');
 }
 
-fn write_ranked(out: &mut String, rc: &RankedCorrection) {
-    out.push_str("{\"c\":");
-    write_correction(out, &rc.correction);
+fn ranked_json(rc: &RankedCorrection) -> Json {
     // Scores as IEEE-754 bit patterns for an exact round-trip.
-    out.push_str(&format!(
-        ",\"rank\":{},\"h1\":{},\"h2\":{},\"h3\":{}}}",
-        rc.rank.to_bits(),
-        rc.h1_score.to_bits(),
-        rc.h2_fraction.to_bits(),
-        rc.h3_score.to_bits()
-    ));
+    json_obj! {
+        "c": correction_json(&rc.correction), "rank": rc.rank.to_bits(),
+        "h1": rc.h1_score.to_bits(), "h2": rc.h2_fraction.to_bits(), "h3": rc.h3_score.to_bits(),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -573,8 +515,7 @@ mod tests {
         ];
         for action in actions {
             let c = Correction::new(GateId(11), action);
-            let mut s = String::new();
-            write_correction(&mut s, &c);
+            let s = correction_json(&c).to_string();
             let parsed = crate::json::parse(&s).unwrap();
             assert_eq!(parse_correction(&parsed).unwrap(), c, "{s}");
         }
@@ -606,8 +547,12 @@ mod tests {
         let mut ckpt = sample();
         ckpt.phase = 4;
         assert!(Checkpoint::from_json(&ckpt.to_json()).is_err());
-        // Floats are rejected (scores travel as bit patterns).
-        assert!(crate::json::parse("1.5").is_err());
+        // A float score is rejected: scores travel as bit patterns.
+        let json = sample()
+            .to_json()
+            .replacen("\"rank\":", "\"rank\":0.5,\"x\":", 1);
+        let err = Checkpoint::from_json(&json).unwrap_err();
+        assert!(err.to_string().contains("unsigned integer"), "{err}");
     }
 
     #[test]

@@ -1,30 +1,65 @@
-//! A minimal recursive-descent JSON reader shared by every hand-rolled
-//! line-JSON surface in the workspace (checkpoints, the serve wire
-//! protocol, bench tooling).
+//! The workspace's one JSON codec: the [`Json`] value type, a compact
+//! writer (its `Display` impl, plus [`json_obj!`](crate::json_obj)) and
+//! a recursive-descent reader ([`parse`]). Run reports, checkpoints,
+//! spool records, the serve wire protocol, lint output and bench records
+//! all go through it; the encoding is documented once in
+//! `EXPERIMENTS.md` ("JSON encoding").
 //!
-//! The reader covers exactly the value kinds the workspace's writers
-//! emit: unsigned integers, booleans, strings, arrays and objects.
-//! Floats are deliberately rejected — scores travel as IEEE-754 bit
-//! patterns (`u64`) so round-trips are exact — and so are `null`s,
-//! which no writer produces. Everything is `Result`-based: malformed
-//! input surfaces as an error string naming the offending byte, never
-//! a panic, so untrusted bytes (a torn spool file, a garbled client
-//! request) are safe to feed in.
-//!
-//! Documents are capped at [`MAX_DEPTH`] nesting levels, which bounds
-//! recursion on adversarial input.
+//! The writer emits one line with keys in insertion order. Strings
+//! escape `"`, `\`, `\n`, `\r` and `\t` by name and every other control
+//! character as `\u00xx`. Integers are exact [`u64`]s; floats are the
+//! shortest round-trip decimal, never in exponent form, with `.0` added
+//! when integral and `null` when non-finite. The reader takes standard
+//! JSON: plain digits read as an exact [`Json::UInt`], any other number
+//! as a [`Json::Float`], and a `\u` surrogate pair as one character.
+//! Malformed input is an error naming the offending byte, never a
+//! panic, so untrusted bytes (a torn spool file, a garbled client
+//! request) are safe to feed in. Documents are capped at [`MAX_DEPTH`]
+//! nesting levels, which bounds recursion on adversarial input.
+
+use std::fmt::{self, Write as _};
+
+/// Builds a [`Json::Obj`] from `"key": value` pairs in order, converting
+/// each value with `Json::from`:
+///
+/// ```
+/// use incdx_core::json_obj;
+///
+/// let v = json_obj! { "id": 7u64, "ok": true, "tag": "a\tb", "gate": None::<u64> };
+/// assert_eq!(v.to_string(), r#"{"id":7,"ok":true,"tag":"a\tb","gate":null}"#);
+/// ```
+#[macro_export]
+macro_rules! json_obj {
+    ($($key:literal : $value:expr),* $(,)?) => {
+        $crate::json::Json::obj($crate::json_fields! { $($key: $value),* })
+    };
+}
+
+/// The `(key, value)` array behind [`json_obj!`], for objects assembled
+/// from parts with [`Json::obj`] (optional fields spliced in by `chain`).
+#[macro_export]
+macro_rules! json_fields {
+    ($($key:literal : $value:expr),* $(,)?) => {
+        [$(($key, $crate::json::Json::from($value))),*]
+    };
+}
 
 /// Maximum nesting depth accepted by [`parse`]. Deeper documents are
 /// rejected with an error rather than risking stack exhaustion.
 pub const MAX_DEPTH: usize = 32;
 
-/// A parsed JSON value restricted to the workspace's wire subset.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
+    /// `null`.
+    Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An unsigned integer (the only number form the writers emit).
+    /// An unsigned integer, exact over the whole `u64` range.
     UInt(u64),
+    /// Any other number. Written as shortest round-trip decimal;
+    /// non-finite values are written as `null`.
+    Float(f64),
     /// A string, with escapes already decoded.
     Str(String),
     /// An array of values.
@@ -35,6 +70,21 @@ pub enum Json {
 }
 
 impl Json {
+    /// Builds an object from `(key, value)` pairs, keeping their order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// Builds an array from anything convertible to values.
+    pub fn arr<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
     /// Looks up a required object field.
     ///
     /// # Errors
@@ -81,6 +131,19 @@ impl Json {
         usize::try_from(self.as_u64()?).map_err(|_| "integer out of range".to_string())
     }
 
+    /// Reads any number as an `f64` (integers above 2^53 round).
+    ///
+    /// # Errors
+    ///
+    /// If the value is not a number.
+    pub fn as_f64(&self) -> Result<f64, String> {
+        match self {
+            Json::Float(v) => Ok(*v),
+            Json::UInt(v) => Ok(*v as f64),
+            _ => Err("expected number".to_string()),
+        }
+    }
+
     /// Reads the value as a string slice.
     ///
     /// # Errors
@@ -116,6 +179,95 @@ impl Json {
             _ => Err("expected array".to_string()),
         }
     }
+}
+
+macro_rules! from_impls {
+    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $e
+            }
+        }
+    )*};
+}
+
+from_impls! {
+    bool => |v| Json::Bool(v),
+    u64 => |v| Json::UInt(v),
+    u32 => |v| Json::UInt(u64::from(v)),
+    usize => |v| Json::UInt(v as u64),
+    f64 => |v| Json::Float(v),
+    &str => |v| Json::Str(v.to_string()),
+    String => |v| Json::Str(v),
+    &String => |v| Json::Str(v.clone()),
+}
+
+/// `None` is written as `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::UInt(v) => write!(f, "{v}"),
+            Json::Float(v) if !v.is_finite() => f.write_str("null"),
+            Json::Float(v) if v.fract() == 0.0 => write!(f, "{v}.0"),
+            Json::Float(v) => write!(f, "{v}"),
+            Json::Str(s) => write_escaped(f, s),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    item.fmt(f)?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_escaped(f, key)?;
+                    f.write_char(':')?;
+                    value.fmt(f)?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// Writes `s` as a quoted JSON string. Unescaped runs are copied in one
+/// piece; every byte that needs an escape is ASCII, so the slice
+/// boundaries always fall on character boundaries.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        f.write_str(&s[start..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        start = i + 1;
+    }
+    f.write_str(&s[start..])?;
+    f.write_char('"')
 }
 
 /// Parses a complete JSON document.
@@ -192,43 +344,105 @@ impl<'a> Reader<'a> {
             b'{' => self.object(depth),
             b'[' => self.array(depth),
             b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected `{}` at byte {}",
-                other as char, self.pos
-            )),
+            b'-' | b'0'..=b'9' => self.number(),
+            other => {
+                let rest = &self.bytes[self.pos..];
+                for (word, value) in [
+                    ("true", Json::Bool(true)),
+                    ("false", Json::Bool(false)),
+                    ("null", Json::Null),
+                ] {
+                    if rest.starts_with(word.as_bytes()) {
+                        self.pos += word.len();
+                        return Ok(value);
+                    }
+                }
+                Err(format!(
+                    "unexpected `{}` at byte {}",
+                    other as char, self.pos
+                ))
+            }
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
+    /// Skips a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
         while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E' | b'-')) {
-            return Err(format!(
-                "only unsigned integers are valid here (byte {start})"
-            ));
+        self.pos - start
+    }
+
+    /// Consumes the next byte if it is one of `set`.
+    fn accept(&mut self, set: &[u8]) -> bool {
+        let hit = self.bytes.get(self.pos).is_some_and(|b| set.contains(b));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        let bad = || format!("malformed number at byte {start}");
+        let negative = self.accept(b"-");
+        let int = self.pos;
+        if self.digits() == 0 || (self.bytes[int] == b'0' && self.pos - int > 1) {
+            return Err(bad());
         }
-        let digits = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        digits
-            .parse::<u64>()
-            .map(Json::UInt)
-            .map_err(|_| format!("integer overflow at byte {start}"))
+        let fraction = self.accept(b".");
+        if fraction && self.digits() == 0 {
+            return Err(bad());
+        }
+        let exponent = self.accept(b"eE");
+        if exponent {
+            self.accept(b"+-");
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        // The token is ASCII by construction.
+        let token = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| bad())?;
+        if negative || fraction || exponent {
+            token.parse::<f64>().map(Json::Float).map_err(|_| bad())
+        } else {
+            token
+                .parse::<u64>()
+                .map(Json::UInt)
+                .map_err(|_| format!("integer overflow at byte {start}"))
+        }
+    }
+
+    /// Reads the four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| "truncated \\u escape".to_string())?;
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err("bad \\u escape".to_string());
+        }
+        self.pos += 4;
+        Ok(hex.iter().fold(0, |acc, &h| {
+            acc * 16 + (h as char).to_digit(16).unwrap_or(0)
+        }))
+    }
+
+    /// Decodes the code unit(s) after `\u`: a high surrogate followed by
+    /// an escaped low surrogate is one character; any unpaired half is
+    /// U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let unit = self.hex4()?;
+        if (0xD800..0xDC00).contains(&unit) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let save = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            self.pos = save;
+        }
+        Ok(char::from_u32(unit).unwrap_or('\u{fffd}'))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -259,17 +473,7 @@ impl<'a> Reader<'a> {
                         b't' => out.push('\t'),
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         other => return Err(format!("unknown escape `\\{}`", other as char)),
                     }
                 }
@@ -342,26 +546,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_wire_subset() {
-        let doc = parse("{\"a\":1,\"b\":[true,\"x\\n\"],\"c\":{}}").unwrap();
+    fn parses_every_value_kind() {
+        let doc = parse("{\"a\":1,\"b\":[true,\"x\\n\",null,-2.5e1],\"c\":{}}").unwrap();
         assert_eq!(doc.get("a").unwrap().as_u64().unwrap(), 1);
         let arr = doc.get("b").unwrap().as_arr().unwrap();
         assert!(arr[0].as_bool().unwrap());
         assert_eq!(arr[1].as_str().unwrap(), "x\n");
+        assert_eq!(arr[2], Json::Null);
+        assert_eq!(arr[3], Json::Float(-25.0));
         assert!(doc.get("c").unwrap().get("missing").is_err());
         assert_eq!(doc.get_opt("missing"), None);
         assert!(doc.get_opt("a").is_some());
     }
 
     #[test]
-    fn rejects_everything_outside_the_subset() {
-        assert!(parse("1.5").is_err(), "floats");
-        assert!(parse("-3").is_err(), "negative integers");
-        assert!(parse("null").is_err(), "null");
-        assert!(parse("{\"a\":1} extra").is_err(), "trailing garbage");
-        assert!(parse("{\"a\":").is_err(), "truncation");
-        assert!(parse("").is_err(), "empty input");
-        assert!(parse("99999999999999999999999").is_err(), "overflow");
+    fn plain_digits_are_exact_integers_and_the_rest_floats() {
+        assert_eq!(parse("18446744073709551615"), Ok(Json::UInt(u64::MAX)));
+        assert_eq!(parse("0"), Ok(Json::UInt(0)));
+        assert_eq!(parse("1.5"), Ok(Json::Float(1.5)));
+        assert_eq!(parse("-3"), Ok(Json::Float(-3.0)));
+        assert_eq!(parse("2E-3"), Ok(Json::Float(0.002)));
+        assert_eq!(parse("1e+2"), Ok(Json::Float(100.0)));
+        assert!(parse("1.5").unwrap().as_u64().is_err(), "a float is no u64");
+        assert_eq!(parse("7").unwrap().as_f64(), Ok(7.0));
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in [
+            "{\"a\":1} extra",
+            "{\"a\":",
+            "",
+            "99999999999999999999999",
+            "01",
+            "-",
+            "1.",
+            ".5",
+            "1e",
+            "+1",
+            "nul",
+            "tru",
+            "\"\\uZZZZ\"",
+            "\"\\u+123\"",
+            "\"\\ud83d\\u12\"",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
         let deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
         assert!(parse(&deep).is_err(), "nesting bomb");
     }
@@ -370,5 +600,59 @@ mod tests {
     fn decodes_escapes_and_utf8() {
         let doc = parse("\"caf\u{e9} \\u00e9 \\t\\\\\"").unwrap();
         assert_eq!(doc.as_str().unwrap(), "café é \t\\");
+    }
+
+    #[test]
+    fn decodes_surrogate_pairs() {
+        assert_eq!(
+            parse("\"\\ud83d\\ude00\"").unwrap().as_str(),
+            Ok("\u{1F600}")
+        );
+        assert_eq!(
+            parse("\"\\uD834\\uDD1E!\"").unwrap().as_str(),
+            Ok("\u{1D11E}!")
+        );
+        // Unpaired halves stay replacement characters.
+        assert_eq!(parse("\"\\ud83d\"").unwrap().as_str(), Ok("\u{fffd}"));
+        assert_eq!(parse("\"\\ude00x\"").unwrap().as_str(), Ok("\u{fffd}x"));
+        assert_eq!(
+            parse("\"\\ud83d\\u0041\"").unwrap().as_str(),
+            Ok("\u{fffd}A")
+        );
+    }
+
+    #[test]
+    fn writes_compact_json_with_named_escapes() {
+        let v = Json::obj([
+            ("s", "a\"b\\c\nd\re\tf\u{1}g\u{7f}é".into()),
+            ("n", Json::Null),
+            ("b", false.into()),
+            ("u", u64::MAX.into()),
+            ("a", Json::arr([1u64, 2])),
+            ("o", Json::obj([])),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            "{\"s\":\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\u{7f}é\",\"n\":null,\"b\":false,\
+             \"u\":18446744073709551615,\"a\":[1,2],\"o\":{}}"
+        );
+        assert_eq!(Json::from(Some("x")).to_string(), "\"x\"");
+        assert_eq!(Json::from(None::<u64>).to_string(), "null");
+    }
+
+    #[test]
+    fn floats_are_plain_shortest_decimals() {
+        for (v, text) in [
+            (0.25, "0.25"),
+            (1.0, "1.0"),
+            (-0.0, "-0.0"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (3e-6, "0.000003"),
+            (1e21, "1000000000000000000000.0"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+        ] {
+            assert_eq!(Json::Float(v).to_string(), text, "{v:?}");
+        }
     }
 }

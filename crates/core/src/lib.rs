@@ -107,7 +107,7 @@ pub use parallel::{
 pub use params::{default_ladder, ParamLevel};
 pub use path_trace::{path_trace_counts, path_trace_counts_batched};
 pub use pipeline::CandidatePipeline;
-pub use report::{escape_json, RectifyReport};
+pub use report::RectifyReport;
 pub use screen::{correction_output_row, correction_output_row_into, CorrectionScratch};
 pub use session::{
     AbstractionStats, AnalysisStats, FaultClassSummary, Rectifier, RectifyConfig, RectifyResult,

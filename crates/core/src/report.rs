@@ -10,8 +10,10 @@
 use std::fmt;
 use std::time::Duration;
 
+use crate::json::Json;
 use crate::limits::Verdict;
 use crate::session::{RectifyResult, RectifyStats};
+use crate::{json_fields, json_obj};
 
 /// A flattened, serializable view of one [`crate::Rectifier::run`].
 ///
@@ -96,180 +98,104 @@ impl RectifyReport {
     /// Renders the report as a single line of JSON (no trailing newline).
     pub fn to_json(&self) -> String {
         let s = &self.stats;
-        let mut out = String::with_capacity(640);
-        out.push_str("{\"report\":\"rectify\"");
-        out.push_str(&format!(",\"label\":\"{}\"", escape_json(&self.label)));
-        out.push_str(&format!(",\"traversal\":\"{}\"", escape_json(s.traversal)));
-        out.push_str(&format!(",\"evaluator\":\"{}\"", escape_json(s.evaluator)));
-        out.push_str(&format!(",\"jobs\":{}", self.jobs));
-        out.push_str(&format!(",\"solutions\":{}", self.solutions));
-        out.push_str(&format!(",\"distinct_sites\":{}", self.distinct_sites));
-        out.push_str(&format!(",\"verdict\":\"{}\"", self.verdict.tag()));
-        if let Verdict::Partial {
-            best_remaining_failures,
-        } = self.verdict
-        {
-            out.push_str(&format!(
-                ",\"best_remaining_failures\":{best_remaining_failures}"
-            ));
-        }
-        out.push_str(&format!(",\"partials\":{}", self.partials));
-        out.push_str(&format!(",\"nodes\":{}", s.nodes));
-        out.push_str(&format!(",\"expansions_skipped\":{}", s.expansions_skipped));
-        out.push_str(&format!(",\"rounds\":{}", s.rounds));
-        out.push_str(&format!(
-            ",\"deepest_ladder_level\":{}",
-            s.deepest_ladder_level
-        ));
-        out.push_str(&format!(",\"truncated\":{}", s.truncated));
-        out.push_str(&format!(
-            ",\"time\":{{\"evaluate\":{},\"simulation\":{},\"path_trace\":{},\"rank\":{},\"screen\":{},\"prune\":{},\"diagnosis\":{},\"correction\":{}}}",
-            secs(s.evaluate_time),
-            secs(s.simulation_time),
-            secs(s.path_trace_time),
-            secs(s.rank_time),
-            secs(s.screen_time),
-            secs(s.prune_time),
-            secs(s.diagnosis_time),
-            secs(s.correction_time),
-        ));
-        out.push_str(&format!(
-            ",\"candidates\":{{\"screened\":{},\"qualified\":{},\"rejected_h2\":{},\"rejected_h3\":{},\"lines_rejected_h1\":{},\"lines_truncated\":{},\"wire_sources_truncated\":{},\"candidates_truncated\":{}}}",
-            s.corrections_screened,
-            s.corrections_qualified,
-            s.corrections_rejected_h2,
-            s.corrections_rejected_h3,
-            s.lines_rejected_h1,
-            s.lines_truncated,
-            s.wire_sources_truncated,
-            s.candidates_truncated,
-        ));
-        out.push_str(&format!(
-            ",\"simulation\":{{\"words\":{},\"events_propagated\":{},\"words_skipped\":{},\"blocks_skipped\":{},\"sparse_rows\":{},\"dense_fallbacks\":{}}}",
-            s.words_simulated,
-            s.events_propagated,
-            s.words_skipped,
-            s.blocks_skipped,
-            s.sparse_rows,
-            s.dense_fallbacks,
-        ));
-        out.push_str(&format!(
-            ",\"path_trace\":{{\"batches\":{},\"observations_batched\":{}}}",
-            s.path_trace_batches, s.observations_batched,
-        ));
-        out.push_str(&format!(
-            ",\"cache\":{{\"cone_hits\":{},\"matrix_hits\":{},\"matrix_evictions\":{}}}",
-            s.cone_cache_hits, s.matrix_cache_hits, s.matrix_cache_evictions,
-        ));
-        match &s.abstraction {
-            Some(a) => out.push_str(&format!(
-                ",\"abstraction\":{{\"super_gates\":{},\"concrete_gates\":{},\"abstract_gates\":{},\"collapse_ratio\":{:.4},\"suspects_expanded\":{},\"refinement_rounds\":{},\"phase1_nodes\":{},\"phase2_nodes\":{}}}",
-                a.super_gates,
-                a.concrete_gates,
-                a.abstract_gates,
-                a.collapse_ratio,
-                a.suspects_expanded,
-                a.refinement_rounds,
-                a.phase1_nodes,
-                a.phase2_nodes,
-            )),
-            None => out.push_str(",\"abstraction\":null"),
-        }
-        match &s.analysis {
-            Some(a) => out.push_str(&format!(
-                ",\"analysis\":{{\"const_lines\":{},\"dominated_lines\":{},\"table_rebuilds\":{},\"prune_checks\":{},\"static_pruned\":{}}}",
-                a.const_lines, a.dominated_lines, a.table_rebuilds, s.prune_checks, s.static_pruned,
-            )),
-            None => out.push_str(",\"analysis\":null"),
-        }
-        match &s.fault_classes {
-            Some(fc) => {
-                out.push_str(&format!(
-                    ",\"fault_classes\":{{\"classes\":{},\"faults\":{},\"representatives\":[",
-                    fc.classes, fc.faults,
-                ));
-                for (i, r) in fc.representatives.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("\"{}\"", escape_json(r)));
-                }
-                out.push_str("]}");
+        let head = json_fields! {
+            "report": "rectify", "label": &self.label, "traversal": s.traversal,
+            "evaluator": s.evaluator, "jobs": self.jobs, "solutions": self.solutions,
+            "distinct_sites": self.distinct_sites, "verdict": self.verdict.tag(),
+        };
+        let partial = match self.verdict {
+            Verdict::Partial {
+                best_remaining_failures: n,
+            } => Some(("best_remaining_failures", n.into())),
+            _ => None,
+        };
+        let abstraction = s.abstraction.as_ref().map(|a| {
+            json_obj! {
+                "super_gates": a.super_gates, "concrete_gates": a.concrete_gates,
+                "abstract_gates": a.abstract_gates, "collapse_ratio": a.collapse_ratio,
+                "suspects_expanded": a.suspects_expanded,
+                "refinement_rounds": a.refinement_rounds,
+                "phase1_nodes": a.phase1_nodes, "phase2_nodes": a.phase2_nodes,
             }
-            None => out.push_str(",\"fault_classes\":null"),
-        }
-        out.push_str(&format!(
-            ",\"workers\":{{\"count\":{},\"busy\":{},\"wall\":{},\"utilization\":{:.4}}}",
-            s.parallel.workers,
-            secs(s.parallel.busy),
-            secs(s.parallel.wall),
-            s.parallel.utilization(),
-        ));
-        match &s.dispatch {
-            Some(d) => {
-                out.push_str(&format!(
-                    ",\"dispatch\":{{\"workers\":{},\"tasks_executed\":{},\"tasks_stolen\":{},\"steal_failures\":{},\"speculative_hits\":{},\"speculative_misses\":{},\"hit_rate\":{:.4},\"tasks_wasted\":{},\"frontier_high_water\":{}",
-                    d.workers,
-                    d.tasks_executed,
-                    d.tasks_stolen,
-                    d.steal_failures,
-                    d.speculative_hits,
-                    d.speculative_misses,
-                    d.hit_rate(),
-                    d.tasks_wasted,
-                    d.frontier_high_water,
-                ));
-                out.push_str(",\"worker_nodes\":[");
-                for (i, n) in d.worker_nodes.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&n.to_string());
-                }
-                out.push_str("],\"worker_busy\":[");
-                for (i, b) in d.worker_busy.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&secs(*b));
-                }
-                out.push_str("],\"worker_idle\":[");
-                for (i, t) in d.worker_idle.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&secs(*t));
-                }
-                out.push_str("]}");
+        });
+        let analysis = s.analysis.as_ref().map(|a| {
+            json_obj! {
+                "const_lines": a.const_lines, "dominated_lines": a.dominated_lines,
+                "table_rebuilds": a.table_rebuilds, "prune_checks": s.prune_checks,
+                "static_pruned": s.static_pruned,
             }
-            None => out.push_str(",\"dispatch\":null"),
-        }
-        out.push_str(&format!(
-            ",\"audit\":{{\"checks\":{},\"violations\":{}}}",
-            s.audit_checks, s.audit_violations,
-        ));
-        out.push_str(",\"degradations\":[");
-        for (i, d) in s.degradations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        });
+        let fault_classes = s.fault_classes.as_ref().map(|fc| {
+            json_obj! {
+                "classes": fc.classes, "faults": fc.faults,
+                "representatives": Json::arr(&fc.representatives),
             }
-            out.push_str(&format!(
-                "{{\"kind\":\"{}\",\"count\":{},\"detail\":\"{}\"}}",
-                d.kind.tag(),
-                d.count,
-                escape_json(&d.detail),
-            ));
-        }
-        out.push(']');
-        match &s.chaos {
-            Some(c) => out.push_str(&format!(
-                ",\"chaos\":{{\"panics\":{},\"bit_flips\":{},\"width_errors\":{},\"summary_flips\":{},\"map_corruptions\":{},\"table_corruptions\":{},\"checkpoint_corruptions\":{}}}",
-                c.panics, c.bit_flips, c.width_errors, c.summary_flips, c.map_corruptions, c.table_corruptions, c.checkpoint_corruptions,
-            )),
-            None => out.push_str(",\"chaos\":null"),
-        }
-        out.push('}');
-        out
+        });
+        let dispatch = s.dispatch.as_ref().map(|d| {
+            json_obj! {
+                "workers": d.workers, "tasks_executed": d.tasks_executed,
+                "tasks_stolen": d.tasks_stolen, "steal_failures": d.steal_failures,
+                "speculative_hits": d.speculative_hits,
+                "speculative_misses": d.speculative_misses, "hit_rate": d.hit_rate(),
+                "tasks_wasted": d.tasks_wasted, "frontier_high_water": d.frontier_high_water,
+                "worker_nodes": Json::arr(d.worker_nodes.iter().copied()),
+                "worker_busy": Json::arr(d.worker_busy.iter().map(Duration::as_secs_f64)),
+                "worker_idle": Json::arr(d.worker_idle.iter().map(Duration::as_secs_f64)),
+            }
+        });
+        let degradations = s.degradations.iter().map(|d| {
+            json_obj! { "kind": d.kind.tag(), "count": d.count, "detail": &d.detail }
+        });
+        let chaos = s.chaos.as_ref().map(|c| {
+            json_obj! {
+                "panics": c.panics, "bit_flips": c.bit_flips, "width_errors": c.width_errors,
+                "summary_flips": c.summary_flips, "map_corruptions": c.map_corruptions,
+                "table_corruptions": c.table_corruptions,
+                "checkpoint_corruptions": c.checkpoint_corruptions,
+            }
+        });
+        let body = json_fields! {
+            "partials": self.partials, "nodes": s.nodes,
+            "expansions_skipped": s.expansions_skipped, "rounds": s.rounds,
+            "deepest_ladder_level": s.deepest_ladder_level, "truncated": s.truncated,
+            "time": json_obj! {
+                "evaluate": secs(s.evaluate_time), "simulation": secs(s.simulation_time),
+                "path_trace": secs(s.path_trace_time), "rank": secs(s.rank_time),
+                "screen": secs(s.screen_time), "prune": secs(s.prune_time),
+                "diagnosis": secs(s.diagnosis_time), "correction": secs(s.correction_time),
+            },
+            "candidates": json_obj! {
+                "screened": s.corrections_screened, "qualified": s.corrections_qualified,
+                "rejected_h2": s.corrections_rejected_h2,
+                "rejected_h3": s.corrections_rejected_h3,
+                "lines_rejected_h1": s.lines_rejected_h1, "lines_truncated": s.lines_truncated,
+                "wire_sources_truncated": s.wire_sources_truncated,
+                "candidates_truncated": s.candidates_truncated,
+            },
+            "simulation": json_obj! {
+                "words": s.words_simulated, "events_propagated": s.events_propagated,
+                "words_skipped": s.words_skipped, "blocks_skipped": s.blocks_skipped,
+                "sparse_rows": s.sparse_rows, "dense_fallbacks": s.dense_fallbacks,
+            },
+            "path_trace": json_obj! {
+                "batches": s.path_trace_batches,
+                "observations_batched": s.observations_batched,
+            },
+            "cache": json_obj! {
+                "cone_hits": s.cone_cache_hits, "matrix_hits": s.matrix_cache_hits,
+                "matrix_evictions": s.matrix_cache_evictions,
+            },
+            "abstraction": abstraction, "analysis": analysis, "fault_classes": fault_classes,
+            "workers": json_obj! {
+                "count": s.parallel.workers, "busy": secs(s.parallel.busy),
+                "wall": secs(s.parallel.wall), "utilization": s.parallel.utilization(),
+            },
+            "dispatch": dispatch,
+            "audit": json_obj! { "checks": s.audit_checks, "violations": s.audit_violations },
+            "degradations": Json::arr(degradations),
+            "chaos": chaos,
+        };
+        Json::obj(head.into_iter().chain(partial).chain(body)).to_string()
     }
 }
 
@@ -279,27 +205,8 @@ impl fmt::Display for RectifyReport {
     }
 }
 
-fn secs(d: Duration) -> String {
-    format!("{:.6}", d.as_secs_f64())
-}
-
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, and control characters). Shared by the report,
-/// checkpoint, and bench serializers.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn secs(d: Duration) -> f64 {
+    d.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -308,8 +215,12 @@ mod tests {
 
     #[test]
     fn escapes_label_characters() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        let stats = RectifyStats::default();
+        let report =
+            RectifyReport::from_parts("a\"b\\c\nd\u{1}", 1, 0, 0, Verdict::default(), 0, stats);
+        assert!(report
+            .to_json()
+            .starts_with("{\"report\":\"rectify\",\"label\":\"a\\\"b\\\\c\\nd\\u0001\","));
     }
 
     #[test]
@@ -396,7 +307,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains(
             "\"abstraction\":{\"super_gates\":12,\"concrete_gates\":100,\
-             \"abstract_gates\":40,\"collapse_ratio\":0.4000,\"suspects_expanded\":9,\
+             \"abstract_gates\":40,\"collapse_ratio\":0.4,\"suspects_expanded\":9,\
              \"refinement_rounds\":2,\"phase1_nodes\":5,\"phase2_nodes\":17}"
         ));
         assert!(json.contains("\"path_trace\":{\"batches\":3,\"observations_batched\":96}"));
@@ -427,11 +338,11 @@ mod tests {
         assert!(json.contains(
             "\"dispatch\":{\"workers\":2,\"tasks_executed\":10,\"tasks_stolen\":3,\
              \"steal_failures\":1,\"speculative_hits\":6,\"speculative_misses\":2,\
-             \"hit_rate\":0.7500,\"tasks_wasted\":4,\"frontier_high_water\":5"
+             \"hit_rate\":0.75,\"tasks_wasted\":4,\"frontier_high_water\":5"
         ));
         assert!(json.contains("\"worker_nodes\":[7,3]"));
-        assert!(json.contains("\"worker_busy\":[0.250000,0.125000]"));
-        assert!(json.contains("\"worker_idle\":[0.050000,0.000000]"));
+        assert!(json.contains("\"worker_busy\":[0.25,0.125]"));
+        assert!(json.contains("\"worker_idle\":[0.05,0.0]"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

@@ -240,31 +240,6 @@ impl Diagnostic {
             hint: "fix the netlist source and re-parse".into(),
         }
     }
-
-    /// Serializes the diagnostic as a single-line JSON object, matching
-    /// the hand-rolled report idiom of `incdx-core`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160);
-        out.push_str("{\"code\":\"");
-        out.push_str(self.code.as_str());
-        out.push_str("\",\"name\":\"");
-        out.push_str(self.code.name());
-        out.push_str("\",\"severity\":\"");
-        out.push_str(self.severity.as_str());
-        out.push('"');
-        match self.gate {
-            Some(g) => out.push_str(&format!(",\"gate\":{}", g.index())),
-            None => out.push_str(",\"gate\":null"),
-        }
-        match &self.wire {
-            Some(w) => out.push_str(&format!(",\"wire\":\"{}\"", escape_json(w))),
-            None => out.push_str(",\"wire\":null"),
-        }
-        out.push_str(&format!(",\"message\":\"{}\"", escape_json(&self.message)));
-        out.push_str(&format!(",\"hint\":\"{}\"", escape_json(&self.hint)));
-        out.push('}');
-        out
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -289,24 +264,6 @@ pub(crate) fn wire_name(netlist: &Netlist, id: GateId) -> String {
         .unwrap_or_else(|| format!("n{}", id.index()))
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// same contract as the `incdx-core` report writer.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,21 +283,6 @@ mod tests {
         assert_eq!(LintCode::parse("NL999"), None);
         assert_eq!(LintCode::CombinationalCycle.as_str(), "NL001");
         assert_eq!(LintCode::ScanChain.as_str(), "NL009");
-    }
-
-    #[test]
-    fn json_escapes_and_shapes() {
-        let d = Diagnostic::global(
-            LintCode::FloatingOutput,
-            Severity::Error,
-            "netlist declares no \"outputs\"",
-            "add OUTPUT(...)",
-        );
-        let j = d.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"code\":\"NL005\""));
-        assert!(j.contains("\"gate\":null"));
-        assert!(j.contains("\\\"outputs\\\""));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! record is detected instead of silently diagnosing the wrong circuit.
 
 use incdx_core::json::Json;
-use incdx_core::{escape_json, netlist_fingerprint, RectifyConfig, Solution};
+use incdx_core::{json_fields, netlist_fingerprint, RectifyConfig, Solution};
 use incdx_fault::{
     inject_design_errors, inject_stuck_at_faults, CorrectionAction, InjectionConfig,
 };
@@ -124,39 +124,30 @@ impl JobSpec {
 
     /// Renders the spec back to its wire/spool JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        match &self.source {
-            Source::Suite(name) => {
-                out.push_str(&format!("\"circuit\":\"{}\"", escape_json(name)));
-            }
-            Source::Bench(text) => {
-                out.push_str(&format!("\"netlist\":\"{}\"", escape_json(text)));
-            }
-        }
-        out.push_str(&format!(
-            ",\"model\":\"{}\",\"k\":{},\"vectors\":{},\"seed\":{}",
-            self.model.tag(),
-            self.k,
-            self.vectors,
-            self.seed
-        ));
-        if self.max_nodes.is_some() || self.deadline_ms.is_some() {
-            out.push_str(",\"limits\":{");
-            let mut first = true;
-            if let Some(n) = self.max_nodes {
-                out.push_str(&format!("\"max_nodes\":{n}"));
-                first = false;
-            }
-            if let Some(ms) = self.deadline_ms {
-                if !first {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"deadline_ms\":{ms}"));
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
+        self.to_json_value().to_string()
+    }
+
+    /// The spec as a JSON value, for embedding in larger documents.
+    /// `limits` appears only when at least one limit is set.
+    pub fn to_json_value(&self) -> Json {
+        let source = match &self.source {
+            Source::Suite(name) => ("circuit", name.into()),
+            Source::Bench(text) => ("netlist", text.into()),
+        };
+        let fields = json_fields! {
+            "model": self.model.tag(), "k": self.k, "vectors": self.vectors, "seed": self.seed,
+        };
+        let limits = (self.max_nodes.is_some() || self.deadline_ms.is_some()).then(|| {
+            let set = [
+                ("max_nodes", self.max_nodes),
+                ("deadline_ms", self.deadline_ms),
+            ];
+            let set = set
+                .into_iter()
+                .filter_map(|(key, v)| Some((key, v?.into())));
+            ("limits", Json::obj(set))
+        });
+        Json::obj([source].into_iter().chain(fields).chain(limits))
     }
 
     /// Key under which the interned-artifact layer shares this
@@ -363,6 +354,17 @@ pub struct JobOutcome {
     pub solutions_fp: u64,
     /// Human-readable context (error text for failed jobs).
     pub detail: String,
+}
+
+impl JobOutcome {
+    /// The outcome's fields as they appear in spool records and
+    /// `status` replies.
+    pub fn fields(&self) -> [(&'static str, Json); 5] {
+        json_fields! {
+            "verdict": &self.verdict, "solutions": self.solutions, "sites": self.sites,
+            "solutions_fp": self.solutions_fp, "detail": &self.detail,
+        }
+    }
 }
 
 /// Lifecycle states of a daemon job.

@@ -15,7 +15,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use incdx_core::ChaosConfig;
+use incdx_core::{json_obj, ChaosConfig};
 use incdx_serve::{ServeConfig, Server};
 
 fn main() -> ExitCode {
@@ -38,12 +38,11 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    println!(
-        "{{\"serve\":\"ready\",\"addr\":\"127.0.0.1:{}\",\"recovered\":{},\"quarantined\":{}}}",
-        server.port(),
-        server.recovered(),
-        server.quarantined()
-    );
+    let ready = json_obj! {
+        "serve": "ready", "addr": format!("127.0.0.1:{}", server.port()),
+        "recovered": server.recovered(), "quarantined": server.quarantined(),
+    };
+    println!("{ready}");
     let _ = std::io::stdout().flush();
     server.join();
     ExitCode::SUCCESS

@@ -9,8 +9,8 @@
 //! typed `bad-request` rejection, never a daemon panic. The schemas are
 //! documented in `EXPERIMENTS.md`.
 
-use incdx_core::escape_json;
 use incdx_core::json::{self, Json};
+use incdx_core::json_obj;
 
 use crate::job::JobSpec;
 
@@ -126,20 +126,17 @@ impl Request {
 
 /// Renders a rejection response line (without trailing newline).
 pub fn reject(code: RejectCode, detail: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"code\":\"{}\",\"detail\":\"{}\"}}",
-        code.tag(),
-        escape_json(detail)
-    )
+    json_obj! { "ok": false, "code": code.tag(), "detail": detail }.to_string()
 }
 
 /// Renders the typed backpressure rejection: the queue is full, try
 /// again after `retry_after_ms`.
 pub fn reject_queue_full(depth: usize, retry_after_ms: u64) -> String {
-    format!(
-        "{{\"ok\":false,\"code\":\"{}\",\"queue_depth\":{depth},\"retry_after_ms\":{retry_after_ms}}}",
-        RejectCode::QueueFull.tag()
-    )
+    json_obj! {
+        "ok": false, "code": RejectCode::QueueFull.tag(), "queue_depth": depth,
+        "retry_after_ms": retry_after_ms,
+    }
+    .to_string()
 }
 
 #[cfg(test)]
@@ -203,10 +200,31 @@ mod tests {
 
     #[test]
     fn rejection_lines_are_well_formed() {
-        let r = reject(RejectCode::BadRequest, "missing field `job`");
-        assert!(r.contains("\"bad-request\""), "{r}");
-        let q = reject_queue_full(32, 1500);
-        assert!(q.contains("\"retry_after_ms\":1500"), "{q}");
-        assert!(q.contains("\"queue-full\""), "{q}");
+        assert_eq!(
+            reject(RejectCode::BadRequest, "bad \"x\"\\\n\t\u{7} é"),
+            "{\"ok\":false,\"code\":\"bad-request\",\"detail\":\"bad \\\"x\\\"\\\\\\n\\t\\u0007 é\"}"
+        );
+        assert_eq!(
+            reject(RejectCode::UnknownJob, "no job 7"),
+            "{\"ok\":false,\"code\":\"unknown-job\",\"detail\":\"no job 7\"}"
+        );
+        assert_eq!(
+            reject_queue_full(64, 1600),
+            "{\"ok\":false,\"code\":\"queue-full\",\"queue_depth\":64,\"retry_after_ms\":1600}"
+        );
+    }
+
+    #[test]
+    fn decodes_surrogate_pairs_in_tenant_labels() {
+        // Python's `json.dumps` sends non-BMP characters as escaped
+        // UTF-16 surrogate pairs.
+        let r = Request::parse(
+            "{\"req\":\"submit\",\"tenant\":\"t\\ud83d\\ude00\",\"job\":{\"circuit\":\"c17\",\"model\":\"dedc\",\"k\":1,\"vectors\":32,\"seed\":1}}",
+        )
+        .unwrap();
+        match r {
+            Request::Submit { tenant, .. } => assert_eq!(tenant, "t\u{1F600}"),
+            other => panic!("wrong parse: {other:?}"),
+        }
     }
 }

@@ -40,8 +40,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use incdx_core::json::Json;
 use incdx_core::{
-    escape_json, CancelToken, ChaosConfig, ChaosState, Checkpoint, DegradationEvent, Rectifier,
+    json_fields, json_obj, CancelToken, ChaosConfig, ChaosState, Checkpoint, Rectifier,
     RectifyResult, Verdict,
 };
 
@@ -551,7 +552,7 @@ fn apply_slice(state: &ServerState, id: u64, budget: u64, end: SliceEnd) {
             job.nodes += spent;
             job.fingerprint = fingerprint;
             for d in &result.stats.degradations {
-                events.push(degradation_event(id, d));
+                events.push(degradation(id, d.kind.tag(), &d.detail));
             }
             let outcome = JobOutcome {
                 verdict: result.verdict.tag().to_string(),
@@ -573,10 +574,11 @@ fn apply_slice(state: &ServerState, id: u64, budget: u64, end: SliceEnd) {
                     job.state = JobState::Waiting;
                     requeue_unspent = Some(budget.saturating_sub(spent));
                     events.push(Event {
-                        line: format!(
-                            "{{\"event\":\"progress\",\"job\":{id},\"state\":\"waiting\",\"nodes\":{},\"slices\":{}}}",
-                            job.nodes, job.slices
-                        ),
+                        line: json_obj! {
+                            "event": "progress", "job": id, "state": "waiting",
+                            "nodes": job.nodes, "slices": job.slices,
+                        }
+                        .to_string(),
                         terminal: false,
                     });
                 }
@@ -619,18 +621,10 @@ fn write_spool_and_emit(state: &ServerState, inner: &mut Inner, id: u64, mut eve
         Ok(Some(repair)) => {
             job.repairs += 1;
             state.checkpoint_repairs.fetch_add(1, Ordering::Relaxed);
-            events.push(degradation_event(id, &repair));
+            events.push(degradation(id, repair.kind.tag(), &repair.detail));
         }
         Ok(None) => {}
-        Err(msg) => {
-            events.push(Event {
-                line: format!(
-                    "{{\"event\":\"degradation\",\"job\":{id},\"kind\":\"checkpoint-io\",\"detail\":\"{}\"}}",
-                    escape_json(&msg)
-                ),
-                terminal: false,
-            });
-        }
+        Err(msg) => events.push(degradation(id, "checkpoint-io", &msg)),
     }
     if job.state.terminal() {
         events.push(Event {
@@ -657,13 +651,10 @@ fn write_spool_and_emit(state: &ServerState, inner: &mut Inner, id: u64, mut eve
     }
 }
 
-fn degradation_event(id: u64, d: &DegradationEvent) -> Event {
+fn degradation(id: u64, kind: &str, detail: &str) -> Event {
     Event {
-        line: format!(
-            "{{\"event\":\"degradation\",\"job\":{id},\"kind\":\"{}\",\"detail\":\"{}\"}}",
-            d.kind.tag(),
-            escape_json(&d.detail)
-        ),
+        line: json_obj! { "event": "degradation", "job": id, "kind": kind, "detail": detail }
+            .to_string(),
         terminal: false,
     }
 }
@@ -671,19 +662,18 @@ fn degradation_event(id: u64, d: &DegradationEvent) -> Event {
 /// The terminal `verdict` event line for a finished job.
 fn verdict_line(job: &Job) -> String {
     let outcome = job.outcome.clone().unwrap_or_default();
-    format!(
-        "{{\"event\":\"verdict\",\"job\":{},\"state\":\"{}\",\"verdict\":\"{}\",\"solutions\":{},\"sites\":{},\"solutions_fp\":{},\"nodes\":{},\"slices\":{},\"repairs\":{},\"detail\":\"{}\"}}",
-        job.id,
-        job.state.tag(),
-        outcome.verdict,
-        outcome.solutions,
-        outcome.sites,
-        outcome.solutions_fp,
-        job.nodes,
-        job.slices,
-        job.repairs,
-        escape_json(&outcome.detail)
-    )
+    json_obj! {
+        "event": "verdict", "job": job.id, "state": job.state.tag(), "verdict": outcome.verdict,
+        "solutions": outcome.solutions, "sites": outcome.sites,
+        "solutions_fp": outcome.solutions_fp, "nodes": job.nodes, "slices": job.slices,
+        "repairs": job.repairs, "detail": outcome.detail,
+    }
+    .to_string()
+}
+
+/// An `{"ok":true,...}` reply carrying `fields` after the flag.
+fn ok<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> String {
+    Json::obj(json_fields! { "ok": true }.into_iter().chain(fields)).to_string()
 }
 
 fn record_of(job: &Job) -> SpoolRecord {
@@ -753,7 +743,8 @@ fn handle_client(state: &Arc<ServerState>, stream: TcpStream) {
                 continue;
             }
             Ok(Request::Shutdown) => {
-                let _ = write_half.write_all(b"{\"ok\":true,\"shutdown\":true}\n");
+                let bye = ok(json_fields! { "shutdown": true });
+                let _ = write_half.write_all(format!("{bye}\n").as_bytes());
                 let _ = write_half.flush();
                 let port = match write_half.local_addr() {
                     Ok(addr) => addr.port(),
@@ -814,7 +805,7 @@ fn submit(state: &ServerState, tenant: String, spec: JobSpec) -> String {
     state.submitted.fetch_add(1, Ordering::Relaxed);
     drop(inner);
     state.cond.notify_one();
-    format!("{{\"ok\":true,\"job\":{id}}}")
+    ok(json_fields! { "job": id })
 }
 
 fn status(state: &ServerState, id: u64) -> String {
@@ -822,28 +813,13 @@ fn status(state: &ServerState, id: u64) -> String {
     let Some(job) = inner.jobs.get(&id) else {
         return reject(RejectCode::UnknownJob, &format!("no job {id}"));
     };
-    let mut out = format!(
-        "{{\"ok\":true,\"job\":{},\"tenant\":\"{}\",\"state\":\"{}\",\"nodes\":{},\"slices\":{},\"repairs\":{},\"fingerprint\":{}",
-        job.id,
-        escape_json(&job.tenant),
-        job.state.tag(),
-        job.nodes,
-        job.slices,
-        job.repairs,
-        job.fingerprint
-    );
-    if let Some(outcome) = &job.outcome {
-        out.push_str(&format!(
-            ",\"verdict\":\"{}\",\"solutions\":{},\"sites\":{},\"solutions_fp\":{},\"detail\":\"{}\"",
-            outcome.verdict,
-            outcome.solutions,
-            outcome.sites,
-            outcome.solutions_fp,
-            escape_json(&outcome.detail)
-        ));
-    }
-    out.push('}');
-    out
+    let fields = json_fields! {
+        "job": job.id, "tenant": &job.tenant, "state": job.state.tag(), "nodes": job.nodes,
+        "slices": job.slices, "repairs": job.repairs, "fingerprint": job.fingerprint,
+    };
+    ok(fields
+        .into_iter()
+        .chain(job.outcome.iter().flat_map(JobOutcome::fields)))
 }
 
 fn cancel(state: &ServerState, id: u64) -> String {
@@ -871,7 +847,7 @@ fn cancel(state: &ServerState, id: u64) -> String {
         _ => {}
     }
     let tag = inner.jobs.get(&id).map_or("cancelled", |j| j.state.tag());
-    format!("{{\"ok\":true,\"job\":{id},\"state\":\"{tag}\"}}")
+    ok(json_fields! { "job": id, "state": tag })
 }
 
 fn resume(state: &ServerState, id: u64) -> String {
@@ -889,7 +865,7 @@ fn resume(state: &ServerState, id: u64) -> String {
     inner.queue.enqueue(id);
     drop(inner);
     state.cond.notify_one();
-    format!("{{\"ok\":true,\"job\":{id},\"state\":\"queued\"}}")
+    ok(json_fields! { "job": id, "state": "queued" })
 }
 
 fn stats(state: &ServerState) -> String {
@@ -911,29 +887,23 @@ fn stats(state: &ServerState) -> String {
     let total = inner.jobs.len();
     drop(inner);
     let intern = state.intern.stats();
-    // Basis points keep the wire format inside the integer-only JSON
-    // subset.
-    let hit_rate_bp = (intern.hit_rate() * 10_000.0).round() as u64;
-    format!(
-        "{{\"ok\":true,\"queue_depth\":{depth},\"jobs\":{{\"total\":{total},\"queued\":{},\"running\":{},\"waiting\":{},\"interrupted\":{},\"done\":{},\"cancelled\":{},\"failed\":{}}},\"intern\":{{\"hits\":{},\"misses\":{},\"cone_hits\":{},\"hit_rate_bp\":{hit_rate_bp}}},\"submitted\":{},\"completed\":{},\"rejected\":{},\"panics_isolated\":{},\"checkpoint_repairs\":{},\"recovered\":{},\"quarantined\":{}}}",
-        counts[0],
-        counts[1],
-        counts[2],
-        counts[3],
-        counts[4],
-        counts[5],
-        counts[6],
-        intern.hits,
-        intern.misses,
-        intern.cone_hits,
-        state.submitted.load(Ordering::Relaxed),
-        state.completed.load(Ordering::Relaxed),
-        state.rejected.load(Ordering::Relaxed),
-        state.panics_isolated.load(Ordering::Relaxed),
-        state.checkpoint_repairs.load(Ordering::Relaxed),
-        state.recovered,
-        state.quarantined.load(Ordering::Relaxed)
-    )
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    ok(json_fields! {
+        "queue_depth": depth,
+        "jobs": json_obj! {
+            "total": total, "queued": counts[0], "running": counts[1], "waiting": counts[2],
+            "interrupted": counts[3], "done": counts[4], "cancelled": counts[5],
+            "failed": counts[6],
+        },
+        "intern": json_obj! {
+            "hits": intern.hits, "misses": intern.misses, "cone_hits": intern.cone_hits,
+            "hit_rate": intern.hit_rate(),
+        },
+        "submitted": load(&state.submitted), "completed": load(&state.completed),
+        "rejected": load(&state.rejected), "panics_isolated": load(&state.panics_isolated),
+        "checkpoint_repairs": load(&state.checkpoint_repairs), "recovered": state.recovered,
+        "quarantined": load(&state.quarantined),
+    })
 }
 
 /// Acknowledges, then streams the job's events until its terminal
@@ -953,9 +923,7 @@ fn subscribe(state: &ServerState, id: u64, out: &mut TcpStream) {
         };
         if job.state.terminal() {
             let line = verdict_line(job);
-            let _ = out.write_all(
-                format!("{{\"ok\":true,\"job\":{id},\"subscribed\":true}}\n{line}\n").as_bytes(),
-            );
+            let _ = out.write_all(format!("{}\n{line}\n", subscribed(id)).as_bytes());
             let _ = out.flush();
             return;
         }
@@ -964,7 +932,7 @@ fn subscribe(state: &ServerState, id: u64, out: &mut TcpStream) {
         rx
     };
     if out
-        .write_all(format!("{{\"ok\":true,\"job\":{id},\"subscribed\":true}}\n").as_bytes())
+        .write_all(format!("{}\n", subscribed(id)).as_bytes())
         .is_err()
     {
         return;
@@ -982,6 +950,10 @@ fn subscribe(state: &ServerState, id: u64, out: &mut TcpStream) {
             return;
         }
     }
+}
+
+fn subscribed(id: u64) -> String {
+    ok(json_fields! { "job": id, "subscribed": true })
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use incdx_core::json;
-use incdx_core::{escape_json, ChaosState, Checkpoint, DegradationEvent, DegradationKind};
+use incdx_core::json::{self, Json};
+use incdx_core::{json_fields, ChaosState, Checkpoint, DegradationEvent, DegradationKind};
 
 use crate::job::{JobOutcome, JobSpec, JobState};
 
@@ -64,36 +64,21 @@ impl SpoolRecord {
     /// embedded as an escaped string, so the record stays a single
     /// self-contained line no matter how deep the checkpoint nests.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str(&format!(
-            "{{\"spool\":\"incdx-serve\",\"version\":{SPOOL_VERSION},\"id\":{},\"tenant\":\"{}\",\"state\":\"{}\",\"nodes\":{},\"slices\":{},\"fingerprint\":{},\"repairs\":{},\"spec\":{}",
-            self.id,
-            escape_json(&self.tenant),
-            self.state.tag(),
-            self.nodes,
-            self.slices,
-            self.fingerprint,
-            self.repairs,
-            self.spec.to_json(),
-        ));
-        if let Some(ckpt) = &self.checkpoint {
-            out.push_str(&format!(
-                ",\"checkpoint\":\"{}\"",
-                escape_json(&ckpt.to_json())
-            ));
-        }
-        if let Some(o) = &self.outcome {
-            out.push_str(&format!(
-                ",\"outcome\":{{\"verdict\":\"{}\",\"solutions\":{},\"sites\":{},\"solutions_fp\":{},\"detail\":\"{}\"}}",
-                escape_json(&o.verdict),
-                o.solutions,
-                o.sites,
-                o.solutions_fp,
-                escape_json(&o.detail)
-            ));
-        }
-        out.push('}');
-        out
+        let head = json_fields! {
+            "spool": "incdx-serve", "version": SPOOL_VERSION, "id": self.id,
+            "tenant": &self.tenant, "state": self.state.tag(), "nodes": self.nodes,
+            "slices": self.slices, "fingerprint": self.fingerprint, "repairs": self.repairs,
+            "spec": self.spec.to_json_value(),
+        };
+        let checkpoint = self
+            .checkpoint
+            .as_ref()
+            .map(|c| ("checkpoint", c.to_json().into()));
+        let outcome = self
+            .outcome
+            .as_ref()
+            .map(|o| ("outcome", Json::obj(o.fields())));
+        Json::obj(head.into_iter().chain(checkpoint).chain(outcome)).to_string()
     }
 
     /// Parses a spool line.

@@ -56,7 +56,7 @@ fn small_jobs_complete_and_share_interned_artifacts() {
         intern.get("hits").and_then(|v| v.as_u64()).unwrap() >= 1,
         "second job must be served from the intern map"
     );
-    assert!(intern.get("hit_rate_bp").and_then(|v| v.as_u64()).unwrap() > 0);
+    assert!(intern.get("hit_rate").and_then(|v| v.as_f64()).unwrap() > 0.0);
     // Subscribing to an already-terminal job yields its verdict line
     // immediately.
     client.send(&format!("{{\"req\":\"subscribe\",\"job\":{a}}}"));
