@@ -47,10 +47,6 @@ pub struct Args {
     /// before ranking (`--no-prune` reverts; solution sets are identical
     /// either way — the pruning rules are sound by construction).
     pub prune: bool,
-    /// Share one batched path-trace pass across all failing vectors
-    /// (`--batch-obs`; `--no-batch-obs` reverts to the per-vector walk;
-    /// marking counts are bit-identical either way).
-    pub batch_obs: bool,
     /// Decision-tree traversal strategy (`--traversal
     /// bfs|dfs|naive-bfs|best-first`; `bfs` is the paper's round-robin
     /// default).
@@ -98,7 +94,6 @@ impl Default for Args {
             sparse: true,
             hierarchical: false,
             prune: false,
-            batch_obs: false,
             traversal: TraversalKind::default(),
             audit: false,
             deadline_ms: None,
@@ -143,8 +138,6 @@ impl Args {
                 "--flat" => args.hierarchical = false,
                 "--prune" => args.prune = true,
                 "--no-prune" => args.prune = false,
-                "--batch-obs" => args.batch_obs = true,
-                "--no-batch-obs" => args.batch_obs = false,
                 "--audit" => args.audit = true,
                 "--deadline-ms" => args.deadline_ms = Some(parse_num(&value("--deadline-ms"))),
                 "--max-nodes" => args.max_nodes = Some(parse_num(&value("--max-nodes"))),
@@ -175,8 +168,7 @@ impl Args {
                          --time-limit SECONDS --jobs N --dispatch|--no-dispatch \
                          --json|--no-json \
                          --incremental|--no-incremental --sparse|--no-sparse \
-                         --hierarchical|--flat --prune|--no-prune \
-                         --batch-obs|--no-batch-obs --audit \
+                         --hierarchical|--flat --prune|--no-prune --audit \
                          --traversal bfs|dfs|naive-bfs|best-first \
                          --deadline-ms N --max-nodes N --chaos SEED,RATE \
                          --checkpoint PATH --resume PATH"
@@ -320,15 +312,6 @@ mod tests {
         assert!(!Args::default().prune, "pruning is opt-in");
         assert!(Args::parse_from(["--prune".to_string()]).prune);
         assert!(!Args::parse_from(["--prune".to_string(), "--no-prune".to_string()]).prune);
-    }
-
-    #[test]
-    fn batch_obs_flag_round_trips() {
-        assert!(!Args::default().batch_obs, "per-vector path-trace default");
-        assert!(Args::parse_from(["--batch-obs".to_string()]).batch_obs);
-        assert!(
-            !Args::parse_from(["--batch-obs".to_string(), "--no-batch-obs".to_string()]).batch_obs
-        );
     }
 
     #[test]

@@ -64,7 +64,6 @@ fn trial(
     config.sparse = args.sparse;
     config.hierarchical = args.hierarchical;
     config.prune = args.prune;
-    config.batch_obs = args.batch_obs;
     config.dispatch = args.dispatch;
     if args.dispatch {
         config.jobs = args.jobs;

@@ -73,7 +73,6 @@ fn trial(golden: &Netlist, seed: u64, args: &Args) -> Option<Trial> {
     config.sparse = args.sparse;
     config.hierarchical = args.hierarchical;
     config.prune = args.prune;
-    config.batch_obs = args.batch_obs;
     config.dispatch = args.dispatch;
     if args.dispatch {
         config.jobs = args.jobs;

@@ -63,7 +63,6 @@ fn budget_config(args: &Args, budget: usize) -> RectifyConfig {
     config.sparse = args.sparse;
     config.hierarchical = args.hierarchical;
     config.prune = args.prune;
-    config.batch_obs = args.batch_obs;
     config.traversal = args.traversal;
     config.audit = args.audit;
     config.limits = args.limits();

@@ -97,7 +97,6 @@ fn run_mode(
     config.traversal = args.traversal;
     config.hierarchical = hierarchical;
     config.prune = args.prune;
-    config.batch_obs = args.batch_obs;
     let started = Instant::now();
     let result = Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
         .ok()?

@@ -60,8 +60,6 @@ pub struct TrialOptions {
     /// filtering of candidate lines before ranking; solution sets are
     /// identical either way.
     pub prune: bool,
-    /// Batched multi-observation path-trace (see [`Args::batch_obs`]).
-    pub batch_obs: bool,
     /// Decision-tree scheduling policy.
     pub traversal: TraversalKind,
     /// Arm the speculative node dispatcher
@@ -100,7 +98,6 @@ impl TrialOptions {
             sparse: args.sparse,
             hierarchical: args.hierarchical,
             prune: args.prune,
-            batch_obs: args.batch_obs,
             traversal: args.traversal,
             dispatch: args.dispatch,
             jobs: args.jobs,
@@ -237,7 +234,6 @@ pub fn stuck_at_trial(
     config.sparse = opts.sparse;
     config.hierarchical = opts.hierarchical;
     config.prune = opts.prune;
-    config.batch_obs = opts.batch_obs;
     config.traversal = opts.traversal;
     config.dispatch = opts.dispatch;
     if opts.dispatch {
@@ -335,7 +331,6 @@ pub fn dedc_trial(
     config.sparse = opts.sparse;
     config.hierarchical = opts.hierarchical;
     config.prune = opts.prune;
-    config.batch_obs = opts.batch_obs;
     config.traversal = opts.traversal;
     config.dispatch = opts.dispatch;
     if opts.dispatch {
@@ -433,7 +428,6 @@ mod tests {
         let golden = scan_core("c432a");
         let mut hier = base_opts();
         hier.hierarchical = true;
-        hier.batch_obs = true;
         let h = stuck_at_trial(&golden, 1, 256, 3, Duration::from_secs(20), &hier)
             .expect("well-formed workload")
             .expect("injectable");

@@ -982,14 +982,9 @@ fn execute(shared: &Shared, stack: &mut WorkerStack, corrections: &[Correction])
     } else if corrections.len() >= shared.config.max_corrections {
         SpecEval::Dead
     } else {
-        let pipeline = CandidatePipeline::new(
-            &shared.config,
-            &shared.spec,
-            1,
-            stack.evaluator.incremental(),
-        )
-        .with_cancel(shared.cancel.clone())
-        .with_chaos(shared.chaos.clone());
+        let pipeline = CandidatePipeline::new(&shared.config, &shared.spec, 1)
+            .with_cancel(shared.cancel.clone())
+            .with_chaos(shared.chaos.clone());
         let candidates = pipeline.run(
             &netlist,
             &vals,

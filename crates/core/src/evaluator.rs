@@ -97,8 +97,8 @@ pub trait Evaluator: Debug + Send {
     }
 
     /// Does this backend keep parent matrices for change-bounded reuse?
-    /// (Selects the column-restricted save/restore strategy in the
-    /// screening stages.)
+    /// (The speculative dispatcher reads it to warm and share those
+    /// matrices; the candidate pipeline is the same either way.)
     fn incremental(&self) -> bool {
         false
     }

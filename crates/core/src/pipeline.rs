@@ -10,6 +10,18 @@
 //! into its ranked, screened candidate list (empty = a dead leaf,
 //! §3.3's "leaf with failure").
 //!
+//! Heuristics 1 and 3 both ask how the primary outputs react to a change
+//! on a suspect line, and one **sensitivity pass** per line answers for
+//! every candidate at once: complement the line's row on every vector,
+//! propagate once through its fanout cone, and keep, for each PO in the
+//! cone, the vectors on which it flipped (`S_po`). A correction changes
+//! only its line's row, and wire sources lie outside the line's cone, so
+//! on each vector every PO bit depends on the line's bit alone: the
+//! corrected PO row is exactly `po ^ ((new_row ^ cur_row) & S_po)`.
+//! Heuristic 1 (§3.1) becomes `Σ popcount(mismatch_po & S_po)`, and each
+//! heuristic-3 check (§3.2) a few masked popcounts — no cone walk per
+//! candidate.
+//!
 //! The candidate list is a **pure function** of (netlist, value
 //! matrix, reference response, applied corrections, ladder level,
 //! config) — no hidden scheduling state leaks into the results. The
@@ -29,7 +41,7 @@ use crate::chaos::ChaosState;
 use crate::limits::{CancelToken, DegradationEvent, DegradationKind};
 use crate::parallel::run_parallel_with;
 use crate::params::ParamLevel;
-use crate::path_trace::{path_trace_counts, path_trace_counts_batched};
+use crate::path_trace::path_trace_counts_batched;
 use crate::screen::{correction_output_row_into, CorrectionScratch};
 use crate::session::{RectifyConfig, RectifyStats};
 use crate::tree::RankedCorrection;
@@ -40,8 +52,6 @@ pub struct CandidatePipeline<'a> {
     config: &'a RectifyConfig,
     spec: &'a Response,
     jobs: usize,
-    incremental: bool,
-    sparse: bool,
     cancel: CancelToken,
     chaos: Option<Arc<ChaosState>>,
     analysis: Option<&'a incdx_analysis::AnalysisTables>,
@@ -49,23 +59,15 @@ pub struct CandidatePipeline<'a> {
 
 impl<'a> CandidatePipeline<'a> {
     /// A pipeline over this run's configuration and reference response.
-    /// `jobs` and `incremental` come from the evaluation backend (they
-    /// select the parallel fan-out and the column-restricted
-    /// save/restore strategy, not the results). The sparse kernel
-    /// ([`RectifyConfig::sparse`]) restricts screening popcounts to
+    /// `jobs` comes from the evaluation backend (it selects the parallel
+    /// fan-out, not the results). The sparse kernel
+    /// ([`RectifyConfig::sparse`]) restricts heuristic-2 popcounts to
     /// occupied blocks of the failing-vector mask.
-    pub fn new(
-        config: &'a RectifyConfig,
-        spec: &'a Response,
-        jobs: usize,
-        incremental: bool,
-    ) -> Self {
+    pub fn new(config: &'a RectifyConfig, spec: &'a Response, jobs: usize) -> Self {
         CandidatePipeline {
             config,
             spec,
             jobs,
-            incremental,
-            sparse: config.sparse,
             cancel: CancelToken::new(),
             chaos: None,
             analysis: None,
@@ -121,29 +123,16 @@ impl<'a> CandidatePipeline<'a> {
     ) -> Vec<RankedCorrection> {
         // ---- Diagnosis (§3.1) ----
         let t1 = Instant::now();
-        // Multi-observation batching shares the reverse-topological
-        // marking pass across the whole sampled observation set; the
-        // per-line counts are bit-identical to the per-vector walks.
-        let counts = if self.config.batch_obs {
-            let (counts, observations) = path_trace_counts_batched(
-                netlist,
-                vals,
-                response,
-                self.spec,
-                self.config.path_trace_vector_cap,
-            );
-            stats.path_trace_batches += 1;
-            stats.observations_batched += observations as u64;
-            counts
-        } else {
-            path_trace_counts(
-                netlist,
-                vals,
-                response,
-                self.spec,
-                self.config.path_trace_vector_cap,
-            )
-        };
+        // One bit-parallel marking pass over the whole sampled
+        // observation set; the per-line counts are bit-identical to the
+        // per-vector walks of `path_trace_counts`.
+        let counts = path_trace_counts_batched(
+            netlist,
+            vals,
+            response,
+            self.spec,
+            self.config.path_trace_vector_cap,
+        );
         let mut marked: Vec<GateId> = netlist.ids().filter(|id| counts[id.index()] > 0).collect();
         // Hierarchical phase 2 (or an explicit harness focus) restricts
         // diagnosis to the implicated region: marks outside the sorted
@@ -186,11 +175,27 @@ impl<'a> CandidatePipeline<'a> {
         }
         let promoted = &marked[..take];
         stats.path_trace_time += t1.elapsed();
-        // When the level disables the h1 filter (exhaustive stuck-at
-        // mode), skip the flip-and-propagate pass and order lines by
-        // path-trace count alone.
+        // Per-PO mismatch rows (tail-masked): heuristic 1 counts the bits
+        // a line's flip repairs, heuristic 3 rebuilds every candidate's
+        // failing-vector row from them.
         let t_rank = Instant::now();
-        let scored_lines: Vec<(GateId, f64)> = if level.h1 <= 0.0 {
+        let tail = PackedBits::new(vals.num_vectors()).tail_mask();
+        let mismatch: Vec<Vec<u64>> = (0..netlist.outputs().len())
+            .map(|po_idx| {
+                let got = response.po_values().row(po_idx);
+                let want = self.spec.po_values().row(po_idx);
+                let mut row: Vec<u64> = got.iter().zip(want).map(|(a, b)| a ^ b).collect();
+                if let Some(last) = row.last_mut() {
+                    *last &= tail;
+                }
+                row
+            })
+            .collect();
+        // When the level disables the h1 filter (exhaustive stuck-at
+        // mode), skip the sensitivity passes here and order lines by
+        // path-trace count alone; screening then runs a pass only for
+        // lines with a heuristic-2 survivor.
+        let scored_lines: Vec<ScoredLine> = if level.h1 <= 0.0 {
             let max_count = promoted
                 .first()
                 .map(|l| counts[l.index()] as f64)
@@ -198,10 +203,14 @@ impl<'a> CandidatePipeline<'a> {
                 .max(1.0);
             promoted
                 .iter()
-                .map(|&l| (l, counts[l.index()] as f64 / max_count))
+                .map(|&line| ScoredLine {
+                    line,
+                    score: counts[line.index()] as f64 / max_count,
+                    flips: None,
+                })
                 .collect()
         } else {
-            self.rank_lines(netlist, vals, response, promoted, cones, stats)
+            self.rank_lines(netlist, vals, response, &mismatch, promoted, cones, stats)
         };
         stats.rank_time += t_rank.elapsed();
         stats.diagnosis_time += t1.elapsed();
@@ -222,7 +231,7 @@ impl<'a> CandidatePipeline<'a> {
         // run may corrupt it here ([`ChaosState::maybe_corrupt_mask`]),
         // and the verify/repair pair below catches exactly that —
         // recorded as a [`DegradationKind::SparseRepair`] recovery.
-        let mask = if self.sparse {
+        let mask = if self.config.sparse {
             let mut m = SparseMask::from_bits(response.failing_vectors());
             if let Some(chaos) = &self.chaos {
                 chaos.maybe_corrupt_mask(&mut m);
@@ -243,6 +252,7 @@ impl<'a> CandidatePipeline<'a> {
             netlist,
             vals,
             response,
+            &mismatch,
             &scored_lines,
             mask.as_ref(),
             level,
@@ -364,47 +374,28 @@ impl<'a> CandidatePipeline<'a> {
         stats.prune_time += t.elapsed();
     }
 
-    /// Heuristic 1: flip each promoted line on the failing vectors,
-    /// propagate through its fanout cone, and score by the fraction of
-    /// erroneous PO bits rectified.
+    /// Heuristic 1: run each promoted line's sensitivity pass and score
+    /// the line by the fraction of erroneous PO bits its flip rectifies.
+    /// The masks ride along to screening, which reads heuristic 3 off
+    /// them.
     ///
     /// Lines are scored in parallel; each worker owns a simulator and a
-    /// private copy of the value matrix (every task restores the cone
+    /// private copy of the value matrix (every pass restores the cone
     /// rows it perturbs, so the copy stays equal to `vals` between
     /// tasks). Scores merge in input order and the final sort is
     /// stable, so the ranking is bit-identical to the serial one.
+    #[allow(clippy::too_many_arguments)]
     fn rank_lines(
         &self,
         netlist: &Netlist,
         vals: &PackedMatrix,
         response: &Response,
+        mismatch: &[Vec<u64>],
         lines: &[GateId],
         cones: &mut ConeCache,
         stats: &mut RectifyStats,
-    ) -> Vec<(GateId, f64)> {
-        let err_words: Vec<u64> = response.failing_vectors().words().to_vec();
-        // Planting XORs the error mask into the stem row, so only word
-        // columns with a failing vector can ever change anywhere in the
-        // cone — propagation, save, and restore all restrict to them.
-        let err_cols: Vec<u32> = err_words
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m != 0)
-            .map(|(w, _)| w as u32)
-            .collect();
+    ) -> Vec<ScoredLine> {
         let total_bad = response.mismatch_bits().max(1);
-        let wpr = vals.words_per_row();
-        let nv = vals.num_vectors();
-        let spec = self.spec;
-        let incremental = self.incremental;
-        // A PO's erroneous bits are a subset of the global error mask, so
-        // in sparse mode the rectified count only needs the nonzero error
-        // columns (bit-identical: `was_bad` is zero everywhere else).
-        let rect_cols: Vec<u32> = if self.sparse {
-            err_cols.clone()
-        } else {
-            (0..wpr as u32).collect()
-        };
         // Memoize every line's cone up front (serially), then share the
         // `Arc`s read-only across workers.
         let cone_refs: Vec<Arc<ConeSet>> = lines.iter().map(|&l| cones.get(netlist, l)).collect();
@@ -419,76 +410,17 @@ impl<'a> CandidatePipeline<'a> {
             || (Simulator::new(), vals.clone(), Vec::<u64>::new()),
             |(sim, vals, saved), i| {
                 if cancel.is_cancelled() {
-                    return (0, 0, 0, 0);
+                    return (Vec::new(), 0, 0, 0);
                 }
                 if let Some((chaos, section)) = &chaos {
                     chaos.maybe_panic(*section, i);
                 }
-                let line = lines[i];
                 let words_before = sim.words_simulated();
                 let events_before = sim.events_propagated();
                 let skipped_before = sim.words_skipped();
-                let cone = &cone_refs[i];
-                saved.clear();
-                if incremental {
-                    for &g in cone.sorted() {
-                        let row = vals.row(g.index());
-                        for &w in &err_cols {
-                            saved.push(row[w as usize]);
-                        }
-                    }
-                } else {
-                    for &g in cone.sorted() {
-                        saved.extend_from_slice(vals.row(g.index()));
-                    }
-                }
-                {
-                    let row = vals.row_mut(line.index());
-                    for (w, &m) in row.iter_mut().zip(&err_words) {
-                        *w ^= m;
-                    }
-                }
-                if incremental {
-                    sim.run_cone_events_cols(netlist, vals, cone.sorted(), &err_cols);
-                } else {
-                    sim.run_cone(netlist, vals, cone.sorted());
-                }
-                // Count rectified erroneous (vector, PO) bits.
-                let mut rectified = 0usize;
-                for (po_idx, &po) in netlist.outputs().iter().enumerate() {
-                    if !cone.contains(po) {
-                        continue;
-                    }
-                    let after = vals.row(po.index());
-                    let spec_row = spec.po_values().row(po_idx);
-                    let before = response.po_values().row(po_idx);
-                    for &w in &rect_cols {
-                        let w = w as usize;
-                        let was_bad = before[w] ^ spec_row[w];
-                        let now_bad = after[w] ^ spec_row[w];
-                        let mut fixed = was_bad & !now_bad;
-                        if w == wpr - 1 {
-                            fixed &= PackedBits::new(nv).tail_mask();
-                        }
-                        rectified += fixed.count_ones() as usize;
-                    }
-                }
-                if incremental {
-                    let nc = err_cols.len();
-                    for (k, &g) in cone.sorted().iter().enumerate() {
-                        let row = vals.row_mut(g.index());
-                        for (j, &w) in err_cols.iter().enumerate() {
-                            row[w as usize] = saved[k * nc + j];
-                        }
-                    }
-                } else {
-                    for (k, &g) in cone.sorted().iter().enumerate() {
-                        vals.row_mut(g.index())
-                            .copy_from_slice(&saved[k * wpr..(k + 1) * wpr]);
-                    }
-                }
+                let flips = sensitivity(netlist, sim, vals, lines[i], &cone_refs[i], saved);
                 (
-                    rectified,
+                    flips,
                     sim.words_simulated() - words_before,
                     sim.events_propagated() - events_before,
                     sim.words_skipped() - skipped_before,
@@ -496,14 +428,24 @@ impl<'a> CandidatePipeline<'a> {
             },
         );
         let mut scored = Vec::with_capacity(lines.len());
-        for (i, (rectified, words, events, skipped)) in outcome.results.into_iter().enumerate() {
+        for (&line, (flips, words, events, skipped)) in lines.iter().zip(outcome.results) {
             stats.words_simulated += words;
             stats.events_propagated += events;
             stats.words_skipped += skipped;
-            scored.push((lines[i], rectified as f64 / total_bad as f64));
+            // Count rectified erroneous (vector, PO) bits.
+            let rectified: usize = flips
+                .iter()
+                .flat_map(|(po_idx, s)| mismatch[*po_idx].iter().zip(s))
+                .map(|(m, s)| (m & s).count_ones() as usize)
+                .sum();
+            scored.push(ScoredLine {
+                line,
+                score: rectified as f64 / total_bad as f64,
+                flips: Some(flips),
+            });
         }
         stats.parallel.merge(&outcome.telemetry);
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+        scored.sort_by(|a, b| b.score.total_cmp(&a.score));
         scored
     }
 
@@ -512,17 +454,19 @@ impl<'a> CandidatePipeline<'a> {
     ///
     /// Suspect lines fan out across workers, one task per line covering
     /// both screening phases. Workers carry a private simulator plus a
-    /// private copy of the value matrix (phase B restores every cone
-    /// row it perturbs, so the copy stays equal to `vals` between
-    /// tasks); survivors merge in line order, preserving the serial
-    /// candidate sequence bit for bit.
+    /// private copy of the value matrix (a sensitivity pass run here,
+    /// for lines heuristic 1 did not score, restores every cone row it
+    /// perturbs, so the copy stays equal to `vals` between tasks);
+    /// survivors merge in line order, preserving the serial candidate
+    /// sequence bit for bit.
     #[allow(clippy::too_many_arguments)]
     fn screen(
         &self,
         netlist: &Netlist,
         vals: &PackedMatrix,
         response: &Response,
-        scored_lines: &[(GateId, f64)],
+        mismatch: &[Vec<u64>],
+        scored_lines: &[ScoredLine],
         mask: Option<&SparseMask>,
         level: &ParamLevel,
         h2_threshold: f64,
@@ -554,34 +498,21 @@ impl<'a> CandidatePipeline<'a> {
             Some(m) => (&sparse_ranges, m.summary().skipped_blocks() as u64),
             None => (&dense_range, 0),
         };
-        // Old per-PO diff rows (for the after-failing-mask of POs outside
-        // a candidate's cone).
-        let old_diff: Vec<Vec<u64>> = netlist
-            .outputs()
-            .iter()
-            .enumerate()
-            .map(|(po_idx, _)| {
-                let got = response.po_values().row(po_idx);
-                let want = self.spec.po_values().row(po_idx);
-                got.iter().zip(want).map(|(a, b)| a ^ b).collect()
-            })
-            .collect();
         // scored_lines is sorted descending, so the h1 threshold keeps a
         // prefix; everything after it is rejected wholesale.
         let keep = scored_lines
             .iter()
-            .take_while(|&&(_, s)| s + 1e-12 >= level.h1)
+            .take_while(|l| l.score + 1e-12 >= level.h1)
             .count();
         stats.lines_rejected_h1 += scored_lines.len() - keep;
         let active = &scored_lines[..keep];
-        let spec = self.spec;
         let config = self.config;
-        let incremental = self.incremental;
         // Memoize the active lines' cones up front (serially) and share the
-        // `Arc`s read-only across workers — both screening phases and the
-        // wire-source eligibility test walk the same cones.
+        // `Arc`s read-only across workers — the sensitivity pass, the
+        // out-of-cone failing row and the wire-source eligibility test
+        // all read the same cones.
         let cone_refs: Vec<Arc<ConeSet>> =
-            active.iter().map(|&(l, _)| cones.get(netlist, l)).collect();
+            active.iter().map(|l| cones.get(netlist, l.line)).collect();
         let cancel = &self.cancel;
         let chaos = self
             .chaos
@@ -596,17 +527,16 @@ impl<'a> CandidatePipeline<'a> {
                     vals.clone(),
                     Vec::<u64>::new(),
                     CorrectionScratch::default(),
-                    Vec::<u32>::new(),
                 )
             },
-            |(sim, vals, saved, scratch, cols), li| {
+            |(sim, vals, saved, scratch), li| {
                 if cancel.is_cancelled() {
                     return (Vec::new(), ScreenDelta::default());
                 }
                 if let Some((chaos, section)) = &chaos {
                     chaos.maybe_panic(*section, li);
                 }
-                let (line, _) = active[li];
+                let line = active[li].line;
                 let cone = &cone_refs[li];
                 let mut delta = ScreenDelta::default();
                 let mut sparse_ops = 0u64;
@@ -814,102 +744,69 @@ impl<'a> CandidatePipeline<'a> {
                     }
                 }
                 delta.rejected_h2 = delta.screened - pass.len();
-                // ---- Phase B: heuristic 3 (cone propagation) on
-                // survivors. ----
+                // ---- Phase B: heuristic 3 on the survivors, read off the
+                // line's sensitivity masks (run here when heuristic 1 did
+                // not score the line). ----
                 let mut line_ranked: Vec<RankedCorrection> = Vec::new();
-                for (corr, h2_fraction) in pass {
-                    // The raw (unmasked-tail) output row is exactly what a
-                    // full resimulation of the corrected circuit would
-                    // store for the line, so it can be planted verbatim.
-                    let Ok(Some(new_row)) =
-                        correction_output_row_into(netlist, vals, &corr, scratch)
-                    else {
-                        delta.rejected_h3 += 1;
-                        continue;
+                if !pass.is_empty() {
+                    let computed;
+                    let flips = match &active[li].flips {
+                        Some(flips) => flips,
+                        None => {
+                            computed = sensitivity(netlist, sim, vals, line, cone, saved);
+                            &computed
+                        }
                     };
-                    saved.clear();
-                    if incremental {
-                        // Planting replaces the stem row wholesale, but
-                        // only the word columns where it actually differs
-                        // from the current row can change anywhere in the
-                        // cone — propagate, save, and restore just those.
-                        cols.clear();
-                        for (w, (&n, &c)) in new_row.iter().zip(&cur).enumerate() {
-                            if n != c {
-                                cols.push(w as u32);
-                            }
-                        }
-                        for &g in cone.sorted() {
-                            let row = vals.row(g.index());
-                            for &w in cols.iter() {
-                                saved.push(row[w as usize]);
-                            }
-                        }
-                    } else {
-                        for &g in cone.sorted() {
-                            saved.extend_from_slice(vals.row(g.index()));
-                        }
-                    }
-                    vals.row_mut(line.index()).copy_from_slice(new_row);
-                    if incremental {
-                        sim.run_cone_events_cols(netlist, vals, cone.sorted(), cols);
-                    } else {
-                        sim.run_cone(netlist, vals, cone.sorted());
-                    }
-                    let mut after_fail = vec![0u64; wpr];
+                    // Mismatches on POs outside the cone survive every
+                    // correction on this line.
+                    let mut outside = vec![0u64; wpr];
                     for (po_idx, &po) in netlist.outputs().iter().enumerate() {
-                        if cone.contains(po) {
-                            let got = vals.row(po.index());
-                            let want = spec.po_values().row(po_idx);
-                            for w in 0..wpr {
-                                after_fail[w] |= got[w] ^ want[w];
-                            }
-                        } else {
-                            for w in 0..wpr {
-                                after_fail[w] |= old_diff[po_idx][w];
+                        if !cone.contains(po) {
+                            for (o, &m) in outside.iter_mut().zip(&mismatch[po_idx]) {
+                                *o |= m;
                             }
                         }
                     }
-                    let mut newly_err = 0usize;
-                    let mut fixed = 0usize;
-                    for w in 0..wpr {
-                        let mut ne = after_fail[w] & !err_words[w];
-                        let mut fx = err_words[w] & !after_fail[w];
-                        if w == wpr - 1 {
-                            ne &= tail;
-                            fx &= tail;
-                        }
-                        newly_err += ne.count_ones() as usize;
-                        fixed += fx.count_ones() as usize;
-                    }
-                    if incremental {
-                        let nc = cols.len();
-                        for (k, &g) in cone.sorted().iter().enumerate() {
-                            let row = vals.row_mut(g.index());
-                            for (j, &w) in cols.iter().enumerate() {
-                                row[w as usize] = saved[k * nc + j];
+                    for (corr, h2_fraction) in pass {
+                        let Ok(Some(new_row)) =
+                            correction_output_row_into(netlist, vals, &corr, scratch)
+                        else {
+                            delta.rejected_h3 += 1;
+                            continue;
+                        };
+                        // The candidate's failing-vector row: PO `p` now
+                        // fails where `mismatch_p ^ ((new ^ cur) & S_p)`.
+                        let mut newly_err = 0usize;
+                        let mut fixed = 0usize;
+                        for w in 0..wpr {
+                            let d = new_row[w] ^ cur[w];
+                            let fail = flips
+                                .iter()
+                                .fold(outside[w], |f, (p, s)| f | (mismatch[*p][w] ^ (d & s[w])));
+                            let mut ne = fail & !err_words[w];
+                            let mut fx = err_words[w] & !fail;
+                            if w == wpr - 1 {
+                                ne &= tail;
+                                fx &= tail;
                             }
+                            newly_err += ne.count_ones() as usize;
+                            fixed += fx.count_ones() as usize;
                         }
-                    } else {
-                        for (k, &g) in cone.sorted().iter().enumerate() {
-                            vals.row_mut(g.index())
-                                .copy_from_slice(&saved[k * wpr..(k + 1) * wpr]);
+                        let h3_score = 1.0 - newly_err as f64 / n_corr.max(1) as f64;
+                        if h3_score + 1e-12 < level.h3 {
+                            delta.rejected_h3 += 1;
+                            continue;
                         }
+                        delta.qualified += 1;
+                        let corr_h1 = fixed as f64 / n_err.max(1) as f64;
+                        line_ranked.push(RankedCorrection {
+                            correction: corr,
+                            rank: (1.0 - v_ratio) * h3_score + v_ratio * corr_h1,
+                            h1_score: corr_h1,
+                            h2_fraction,
+                            h3_score,
+                        });
                     }
-                    let h3_score = 1.0 - newly_err as f64 / n_corr.max(1) as f64;
-                    if h3_score + 1e-12 < level.h3 {
-                        delta.rejected_h3 += 1;
-                        continue;
-                    }
-                    delta.qualified += 1;
-                    let corr_h1 = fixed as f64 / n_err.max(1) as f64;
-                    line_ranked.push(RankedCorrection {
-                        correction: corr,
-                        rank: (1.0 - v_ratio) * h3_score + v_ratio * corr_h1,
-                        h1_score: corr_h1,
-                        h2_fraction,
-                        h3_score,
-                    });
                 }
                 delta.words = sim.words_simulated() - words_before;
                 delta.events = sim.events_propagated() - events_before;
@@ -979,4 +876,148 @@ struct ScreenDelta {
     skipped: u64,
     blocks_skipped: u64,
     sparse_rows: u64,
+}
+
+/// A promoted line with its ranking score and — when heuristic 1 scored
+/// it — the sensitivity masks the score was read from.
+struct ScoredLine {
+    line: GateId,
+    score: f64,
+    flips: Option<Sensitivity>,
+}
+
+/// One line's sensitivity masks: `(PO index, S_po)` for every PO in the
+/// line's fanout cone, in [`Netlist::outputs`] order, where `S_po` holds
+/// the vectors on which that PO flips when the line's value flips.
+type Sensitivity = Vec<(usize, Vec<u64>)>;
+
+/// The sensitivity pass: complements `line`'s row on every vector,
+/// propagates the change once through its fanout `cone`
+/// ([`Simulator::run_cone_events`]), and returns `S_po` for every PO in
+/// the cone. The cone rows are saved into `saved` first and restored
+/// after, so `vals` comes back bit for bit.
+///
+/// Exact for every correction on `line`: a correction changes only the
+/// line's row, and its wire sources lie outside the cone, so on each
+/// vector every PO bit is a function of the line's bit alone — it flips
+/// with the line exactly where `S_po` is set.
+fn sensitivity(
+    netlist: &Netlist,
+    sim: &mut Simulator,
+    vals: &mut PackedMatrix,
+    line: GateId,
+    cone: &ConeSet,
+    saved: &mut Vec<u64>,
+) -> Sensitivity {
+    let wpr = vals.words_per_row();
+    let mut flips: Sensitivity = netlist
+        .outputs()
+        .iter()
+        .enumerate()
+        .filter(|&(_, &po)| cone.contains(po))
+        .map(|(po_idx, &po)| (po_idx, vals.row(po.index()).to_vec()))
+        .collect();
+    saved.clear();
+    for &g in cone.sorted() {
+        saved.extend_from_slice(vals.row(g.index()));
+    }
+    for w in vals.row_mut(line.index()) {
+        *w = !*w;
+    }
+    sim.run_cone_events(netlist, vals, cone.sorted());
+    for (po_idx, s) in &mut flips {
+        let after = vals.row(netlist.outputs()[*po_idx].index());
+        for (s, &a) in s.iter_mut().zip(after) {
+            *s ^= a;
+        }
+    }
+    for (k, &g) in cone.sorted().iter().enumerate() {
+        vals.row_mut(g.index())
+            .copy_from_slice(&saved[k * wpr..(k + 1) * wpr]);
+    }
+    flips
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use incdx_gen::{random_dag, RandomDagConfig};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The identity heuristics 1 and 3 rest on: for every correction
+        /// on a line, under both models and with wire sources outside the
+        /// line's cone, the PO rows read off the line's sensitivity masks
+        /// equal those of the corrected netlist resimulated from its
+        /// inputs, on every valid bit. The pass hands the value matrix
+        /// back bit for bit.
+        #[test]
+        fn sensitivity_masks_predict_every_correction(
+            seed in 0u64..1_000_000,
+            pick in 0usize..1000,
+            vectors in 1usize..=200,
+        ) {
+            let dag = RandomDagConfig {
+                inputs: 6,
+                gates: 40,
+                outputs: 5,
+                max_fanin: 3,
+                xor_fraction: 0.2,
+                window: 16,
+            };
+            let netlist = random_dag(&dag, seed);
+            let line = GateId::from_index(pick % netlist.len());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pi = PackedMatrix::random(netlist.inputs().len(), vectors, &mut rng);
+            let mut sim = Simulator::new();
+            let vals = sim.run(&netlist, &pi);
+            let cone = ConeSet::compute(&netlist, line);
+            let mut work = vals.clone();
+            let flips = sensitivity(&netlist, &mut sim, &mut work, line, &cone, &mut Vec::new());
+            prop_assert!(work == vals, "the pass must restore the value matrix");
+            let sources: Vec<GateId> = netlist.ids().filter(|&s| !cone.contains(s)).collect();
+            let wpr = vals.words_per_row();
+            let tail = PackedBits::new(vectors).tail_mask();
+            let cur = vals.row(line.index());
+            let mut scratch = CorrectionScratch::default();
+            for model in [CorrectionModel::StuckAt, CorrectionModel::DesignErrors] {
+                for corr in enumerate_corrections(&netlist, line, model, &sources) {
+                    let Ok(Some(new_row)) =
+                        correction_output_row_into(&netlist, &vals, &corr, &mut scratch)
+                    else {
+                        continue; // the pipeline rejects these unscored
+                    };
+                    let mut fixed = netlist.clone();
+                    if corr.apply(&mut fixed).is_err() {
+                        continue; // e.g. an added input past the gate's arity
+                    }
+                    let after = sim.run_for_inputs(&fixed, netlist.inputs(), &pi);
+                    for (po_idx, &po) in netlist.outputs().iter().enumerate() {
+                        let mut predicted = vals.row(po.index()).to_vec();
+                        if let Some((_, s)) = flips.iter().find(|(p, _)| *p == po_idx) {
+                            for w in 0..wpr {
+                                predicted[w] ^= (new_row[w] ^ cur[w]) & s[w];
+                            }
+                        }
+                        let got = after.row(po.index());
+                        for w in 0..wpr {
+                            let valid = if w + 1 == wpr { tail } else { !0 };
+                            prop_assert_eq!(
+                                predicted[w] & valid,
+                                got[w] & valid,
+                                "{} PO {} word {}",
+                                corr,
+                                po_idx,
+                                w
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

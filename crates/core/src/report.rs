@@ -177,10 +177,6 @@ impl RectifyReport {
                 "words_skipped": s.words_skipped, "blocks_skipped": s.blocks_skipped,
                 "sparse_rows": s.sparse_rows, "dense_fallbacks": s.dense_fallbacks,
             },
-            "path_trace": json_obj! {
-                "batches": s.path_trace_batches,
-                "observations_batched": s.observations_batched,
-            },
             "cache": json_obj! {
                 "cone_hits": s.cone_cache_hits, "matrix_hits": s.matrix_cache_hits,
                 "matrix_evictions": s.matrix_cache_evictions,
@@ -253,7 +249,6 @@ mod tests {
         assert!(json.contains("\"abstraction\":null"));
         assert!(json.contains("\"analysis\":null"));
         assert!(json.contains("\"fault_classes\":null"));
-        assert!(json.contains("\"path_trace\":{\"batches\":0,\"observations_batched\":0}"));
     }
 
     #[test]
@@ -299,8 +294,6 @@ mod tests {
                 phase1_nodes: 5,
                 phase2_nodes: 17,
             }),
-            path_trace_batches: 3,
-            observations_batched: 96,
             ..RectifyStats::default()
         };
         let report = RectifyReport::from_parts("hier", 1, 1, 1, Verdict::default(), 0, stats);
@@ -310,7 +303,6 @@ mod tests {
              \"abstract_gates\":40,\"collapse_ratio\":0.4,\"suspects_expanded\":9,\
              \"refinement_rounds\":2,\"phase1_nodes\":5,\"phase2_nodes\":17}"
         ));
-        assert!(json.contains("\"path_trace\":{\"batches\":3,\"observations_batched\":96}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -94,7 +94,9 @@ pub struct RectifyConfig {
     /// backend): reuse the parent node's cached value matrix and
     /// resimulate only the corrected line's fanout cone
     /// (change-bounded), instead of cloning and fully resimulating the
-    /// base circuit per node ([`FromScratch`]). Bit-identical to the
+    /// base circuit per node ([`FromScratch`]). It selects node
+    /// preparation only: the candidate pipeline (heuristics 1–3) runs
+    /// the same code under both settings. Bit-identical to the
     /// from-scratch path for every `jobs` value — only `words_simulated`
     /// (and the event/skip counters) differ.
     pub incremental: bool,
@@ -146,13 +148,6 @@ pub struct RectifyConfig {
     /// fall back to flat diagnosis. Telemetry lands in
     /// [`RectifyStats::abstraction`].
     pub hierarchical: bool,
-    /// Multi-observation batching: path-trace marks every sampled
-    /// failing vector in one bit-parallel reverse-topological pass
-    /// (`path_trace_counts_batched`) instead of one depth-first walk per
-    /// observation. Bit-identical marked-line counts; only
-    /// [`RectifyStats::path_trace_batches`] /
-    /// [`RectifyStats::observations_batched`] and wall time differ.
-    pub batch_obs: bool,
     /// Restricts diagnosis to a sorted set of suspect lines: path-trace
     /// marks outside the set are discarded before ranking, so the tree
     /// only ever proposes corrections on focused lines. `None` = no
@@ -202,7 +197,6 @@ impl RectifyConfig {
             limits: RectifyLimits::default(),
             chaos: None,
             hierarchical: false,
-            batch_obs: false,
             focus: None,
             prune: false,
         }
@@ -239,7 +233,6 @@ impl RectifyConfig {
             limits: RectifyLimits::default(),
             chaos: None,
             hierarchical: false,
-            batch_obs: false,
             focus: None,
             prune: false,
         }
@@ -394,12 +387,6 @@ pub struct RectifyStats {
     /// [`RectifyConfig::hierarchical`] and the abstraction was not
     /// degenerate; `None` otherwise (including flat fallbacks).
     pub abstraction: Option<AbstractionStats>,
-    /// Bit-parallel batched path-trace passes run
-    /// ([`RectifyConfig::batch_obs`]; 0 when batching is off).
-    pub path_trace_batches: u64,
-    /// Failing-vector observations covered by those batched passes —
-    /// each would have been its own depth-first walk without batching.
-    pub observations_batched: u64,
     /// Candidate lines dropped by the static pruning layer
     /// ([`RectifyConfig::prune`]; 0 when pruning is off).
     pub static_pruned: u64,
@@ -1839,15 +1826,10 @@ impl Rectifier {
             } else {
                 self.evaluator.jobs()
             };
-            let pipeline = CandidatePipeline::new(
-                &self.config,
-                &self.spec,
-                jobs,
-                self.evaluator.incremental(),
-            )
-            .with_cancel(self.cancel.clone())
-            .with_chaos(self.chaos.clone())
-            .with_analysis(self.analysis.as_ref());
+            let pipeline = CandidatePipeline::new(&self.config, &self.spec, jobs)
+                .with_cancel(self.cancel.clone())
+                .with_chaos(self.chaos.clone())
+                .with_analysis(self.analysis.as_ref());
             let candidates = pipeline.run(
                 &netlist,
                 &vals,
@@ -2036,8 +2018,6 @@ fn absorb_speculative(stats: &mut RectifyStats, spec: &RectifyStats) {
     stats.wire_sources_truncated += spec.wire_sources_truncated;
     stats.candidates_truncated += spec.candidates_truncated;
     stats.lines_truncated += spec.lines_truncated;
-    stats.path_trace_batches += spec.path_trace_batches;
-    stats.observations_batched += spec.observations_batched;
     stats.static_pruned += spec.static_pruned;
     stats.prune_checks += spec.prune_checks;
 }
@@ -2652,28 +2632,6 @@ mod tests {
             r.stats.abstraction.is_none(),
             "degenerate abstraction reports no telemetry (flat fallback)"
         );
-    }
-
-    #[test]
-    fn batched_observations_match_unbatched_solutions() {
-        let (good, bad) = two_chain_pair();
-        let (pi, spec) = spec_and_vectors(&good, 128, 15);
-        let plain = Rectifier::new(
-            bad.clone(),
-            pi.clone(),
-            spec.clone(),
-            RectifyConfig::dedc(1),
-        )
-        .unwrap()
-        .run();
-        let mut batched_cfg = RectifyConfig::dedc(1);
-        batched_cfg.batch_obs = true;
-        let batched = Rectifier::new(bad, pi, spec, batched_cfg).unwrap().run();
-        assert_eq!(plain.solutions, batched.solutions);
-        assert_eq!(plain.stats.nodes, batched.stats.nodes);
-        assert_eq!(plain.stats.path_trace_batches, 0);
-        assert!(batched.stats.path_trace_batches > 0);
-        assert!(batched.stats.observations_batched > 0);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Spool records written before the JSON codec existed still read and
-//! re-serialize byte for byte, and the spool and wire readers never
-//! panic on truncated or mutated input.
+//! re-serialize byte for byte, and the spool and wire readers — and the
+//! `.bench` path from a submitted netlist to a diagnosis — never panic
+//! on truncated or mutated input.
 
-use incdx_core::json;
-use incdx_serve::{JobState, Request, Source, SpoolRecord};
+use incdx_core::{json, Rectifier};
+use incdx_netlist::write_bench;
+use incdx_serve::{
+    build_workload, BuiltWorkload, JobSpec, JobState, Model, Request, Source, SpoolRecord,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -134,6 +138,108 @@ proptest! {
                 mutate(&mut bytes, &mut rng);
             }
             read_everywhere(&bytes);
+        }
+    }
+}
+
+/// The `.bench` texts the netlist properties start from: every example
+/// netlist plus the written-out `c17` and (sequential) `s298a` suite circuits.
+fn bench_corpus() -> Vec<String> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/netlists");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "bench"))
+        .collect();
+    paths.sort();
+    let mut docs: Vec<String> = paths
+        .iter()
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .collect();
+    for name in ["c17", "s298a"] {
+        docs.push(write_bench(&incdx_gen::generate(name).unwrap()));
+    }
+    docs
+}
+
+/// Submits `text` as a netlist job under both models: building the
+/// workload must return `Ok` or `Err`, and a built workload must take a
+/// short diagnosis, never a panic.
+fn diagnose_bench(text: &str, seed: u64) {
+    for model in [Model::Dedc, Model::StuckAt] {
+        let spec = JobSpec {
+            source: Source::Bench(text.to_string()),
+            model,
+            k: 1,
+            vectors: 64,
+            seed,
+            max_nodes: None,
+            deadline_ms: None,
+        };
+        if let Ok(BuiltWorkload::Ready(w)) = build_workload(&spec) {
+            let mut config = spec.rectify_config();
+            config.limits.max_total_nodes = Some(8);
+            if let Ok(mut engine) = Rectifier::new(w.base, w.pi, w.resp, config) {
+                let _ = engine.run();
+            }
+        }
+    }
+}
+
+#[test]
+fn bench_text_survives_every_truncation() {
+    for doc in bench_corpus() {
+        for end in (0..doc.len()).filter(|&e| doc.is_char_boundary(e)) {
+            diagnose_bench(&doc[..end], end as u64);
+        }
+    }
+}
+
+/// One random edit of `.bench` text: a byte flip, insert (often a
+/// format metacharacter), delete, or one gate keyword swapped for
+/// another.
+fn mutate_bench(text: &mut String, rng: &mut StdRng) {
+    const KEYWORDS: &[&str] = &[
+        "INPUT", "OUTPUT", "AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUFF", "BUF", "DFF",
+    ];
+    if rng.random_bool(0.25) {
+        let from = KEYWORDS[rng.random_range(0..KEYWORDS.len())];
+        let to = KEYWORDS[rng.random_range(0..KEYWORDS.len())];
+        let hits: Vec<usize> = text.match_indices(from).map(|(i, _)| i).collect();
+        if !hits.is_empty() {
+            let at = hits[rng.random_range(0..hits.len())];
+            text.replace_range(at..at + from.len(), to);
+        }
+        return;
+    }
+    const META: &[u8] = b"()=,#\n \tA0";
+    let mut bytes = std::mem::take(text).into_bytes();
+    let at = rng.random_range(0..=bytes.len());
+    match rng.random_range(0..3u32) {
+        0 if at < bytes.len() => bytes[at] ^= 1 << rng.random_range(0..8u32),
+        1 => bytes.insert(at, META[rng.random_range(0..META.len())]),
+        _ if at < bytes.len() => {
+            bytes.remove(at);
+        }
+        _ => {}
+    }
+    *text = String::from_utf8_lossy(&bytes).into_owned();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random byte edits and keyword swaps in the corpus yield `Ok` or
+    /// `Err` from the build, and a bounded diagnosis when it builds,
+    /// never a panic.
+    #[test]
+    fn bench_text_survives_mutation(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for mut doc in bench_corpus() {
+            for _ in 0..rng.random_range(1..6u32) {
+                mutate_bench(&mut doc, &mut rng);
+            }
+            diagnose_bench(&doc, seed);
         }
     }
 }

@@ -151,7 +151,8 @@ if [ "$MODE" = serve ]; then
     cargo build --release -p incdx-serve
 fi
 
-bin=target/release
+# Cargo builds into $CARGO_TARGET_DIR when it is set.
+bin="${CARGO_TARGET_DIR:-target}/release"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 

@@ -30,6 +30,12 @@ cargo build --workspace --release --all-targets
 echo "==> tests (workspace)"
 cargo test --workspace --release -q
 
+echo "==> perfbench: build + tests (its own workspace and lockfile)"
+# perfbench reads RectifyConfig fields and implements the engine's
+# Evaluator and Traversal traits, so an engine API change can break its
+# build; --locked also fails if its lockfile would need rewriting.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> clippy (all targets, -D warnings)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
@@ -135,7 +141,7 @@ flat_set="$(cargo run -p incdx-bench --release --bin table2 -- \
 [ -n "$flat_set" ] || { echo "table2 --flat emitted no reports" >&2; exit 1; }
 hier_out="$(cargo run -p incdx-bench --release --bin table2 -- \
     --circuits c432a --trials 1 --vectors 256 --time-limit 60 --hierarchical \
-    --batch-obs --json 2>/dev/null)"
+    --json 2>/dev/null)"
 if [ "$flat_set" != "$(echo "$hier_out" | solution_set)" ]; then
     echo "table2 --hierarchical diverged from the --flat solution set" >&2
     exit 1
