@@ -113,7 +113,8 @@ pub struct ParallelOutcome<T> {
 ///
 /// With `jobs <= 1` everything runs inline on the calling thread with a
 /// single `init()` — no thread is spawned, so the serial path stays
-/// allocation- and synchronization-free.
+/// allocation- and synchronization-free. An empty section (`n == 0`)
+/// never calls `init()`.
 ///
 /// Determinism: `f` runs against worker-private state and the results
 /// are returned in index order, so the output is independent of worker
@@ -133,6 +134,19 @@ where
 {
     let jobs = effective_jobs(jobs, n);
     let started = Instant::now();
+    if n == 0 {
+        // Nothing to run: skip building worker state (for the screening
+        // stages that is a clone of the node's whole value matrix).
+        return ParallelOutcome {
+            results: Vec::new(),
+            telemetry: ParallelTelemetry {
+                workers: 1,
+                busy: Duration::ZERO,
+                wall: started.elapsed(),
+                panics_recovered: 0,
+            },
+        };
+    }
     if jobs <= 1 {
         let mut state = init();
         let mut recovered = 0u64;
@@ -315,6 +329,28 @@ mod tests {
         assert_eq!(acc.workers, 1);
         assert_eq!(acc.panics_recovered, 0);
         assert!(acc.utilization() <= 1.0);
+    }
+
+    #[test]
+    fn empty_sections_build_no_worker_state() {
+        let inits = AtomicUsize::new(0);
+        let init = || {
+            inits.fetch_add(1, Ordering::Relaxed);
+        };
+        for jobs in [1, 4] {
+            let outcome = run_parallel_with(0, jobs, init, |(), i| i);
+            assert!(outcome.results.is_empty());
+            assert_eq!(outcome.telemetry.workers, 1, "jobs={jobs}");
+            assert_eq!(outcome.telemetry.panics_recovered, 0, "jobs={jobs}");
+        }
+        assert_eq!(inits.load(Ordering::Relaxed), 0, "no init for n == 0");
+        let outcome = run_parallel_with(3, 1, init, |(), i| i);
+        assert_eq!(outcome.results, vec![0, 1, 2]);
+        assert_eq!(
+            inits.load(Ordering::Relaxed),
+            1,
+            "one init per serial section"
+        );
     }
 
     #[test]

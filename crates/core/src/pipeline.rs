@@ -792,6 +792,9 @@ impl<'a> CandidatePipeline<'a> {
                             newly_err += ne.count_ones() as usize;
                             fixed += fx.count_ones() as usize;
                         }
+                        // Both scores stay exact ratios of these counts:
+                        // `RankedCorrection::repairs_every_vector` (below)
+                        // closes last-slot leaves on them.
                         let h3_score = 1.0 - newly_err as f64 / n_corr.max(1) as f64;
                         if h3_score + 1e-12 < level.h3 {
                             delta.rejected_h3 += 1;
@@ -835,6 +838,27 @@ impl<'a> CandidatePipeline<'a> {
         stats.parallel.merge(&outcome.telemetry);
         stats.screen_time += t_screen.elapsed();
         ranked
+    }
+}
+
+impl RankedCorrection {
+    /// Does this correction, applied to the node it was screened on,
+    /// leave no failing vector? The engine closes a last-slot child for
+    /// which this is `false` without preparing it: only a child that
+    /// repairs every vector can be a solution.
+    ///
+    /// The test is exact. [`CandidatePipeline::run`]'s screening stage
+    /// computes `h1 = fixed / |V_err|` and `h3 = 1 − newly_err / |V_corr|`
+    /// from integer counts read off the line's sensitivity masks, with
+    /// `fixed ≤ |V_err|`. For integers `a ≤ b < 2⁵³` the quotient `a / b`
+    /// rounds to `1.0` only when `a = b`, and `1 − x` stays below `1.0`
+    /// for every `x ≥ 2⁻⁵³`, so both scores are exactly `1.0` if and only
+    /// if `fixed = |V_err|` and `newly_err = 0` — that is, if and only if
+    /// the child's failing-vector row is empty. Checkpoints store the
+    /// scores as bit patterns, so a resumed search decides every leaf
+    /// the same way.
+    pub fn repairs_every_vector(&self) -> bool {
+        self.h1_score == 1.0 && self.h3_score == 1.0
     }
 }
 

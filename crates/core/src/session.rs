@@ -115,8 +115,10 @@ pub struct RectifyConfig {
     /// Opt-in engine invariant audit: wrap the evaluation backend in the
     /// [`Auditing`](crate::Auditing) decorator (sampled replay of
     /// incremental node preparations against a from-scratch rebuild,
-    /// matrix width checks) and re-verify every reported solution against
-    /// a fresh simulation. Audit work runs on private simulators and does
+    /// matrix width checks), replay every last-slot leaf the engine
+    /// closes from its parent's screening scores (such a leaf must not
+    /// be a solution), and re-verify every reported solution against a
+    /// fresh simulation. Audit work runs on private simulators and does
     /// not perturb the reported work counters; results are recorded in
     /// [`RectifyStats::audit_checks`] / [`RectifyStats::audit_violations`].
     pub audit: bool,
@@ -1154,7 +1156,10 @@ impl Rectifier {
                 // pass's; keep them for the merge below.
                 r2_solutions = r2.solutions;
             } else if !r2.solutions.is_empty()
-                && r2.solutions.iter().all(|s| self.replay_validates(s))
+                && r2
+                    .solutions
+                    .iter()
+                    .all(|s| self.replay_validates(&s.corrections))
             {
                 // First-solution mode: a replay-validated restricted
                 // solution is the answer — this early return is the
@@ -1309,14 +1314,16 @@ impl Rectifier {
         result
     }
 
-    /// Replays one solution from scratch against the reference: apply
-    /// the corrections to a fresh copy of the base netlist, simulate on
-    /// a private simulator, compare. The hierarchical orchestrator
-    /// gates first-solution returns on this — a restricted phase-2
-    /// solution must also rectify the full concrete netlist.
-    fn replay_validates(&self, s: &Solution) -> bool {
+    /// Replays one correction tuple from scratch against the reference:
+    /// apply the corrections to a fresh copy of the base netlist,
+    /// simulate on a private simulator, compare. The hierarchical
+    /// orchestrator gates first-solution returns on this — a restricted
+    /// phase-2 solution must also rectify the full concrete netlist —
+    /// and the audit re-checks reported solutions and score-closed
+    /// leaves with it.
+    fn replay_validates(&self, corrections: &[Correction]) -> bool {
         let mut netlist = self.base.clone();
-        if !s.corrections.iter().all(|c| c.apply(&mut netlist).is_ok()) {
+        if !corrections.iter().all(|c| c.apply(&mut netlist).is_ok()) {
             return false;
         }
         let mut sim = incdx_sim::Simulator::new();
@@ -1324,22 +1331,14 @@ impl Rectifier {
         Response::compare(&netlist, &vals, &self.spec).matches()
     }
 
-    /// The audit layer's end-of-run gold check: re-apply every reported
-    /// tuple to the base netlist, simulate from scratch on a private
-    /// simulator, and verify the result matches the reference. Any
+    /// The audit layer's end-of-run gold check: replay every reported
+    /// tuple from scratch and verify it matches the reference. Any
     /// divergence is an engine bug (a false solution), recorded in
     /// [`RectifyStats::audit_violations`] — and fatal in debug builds.
     fn audit_solutions(&mut self, solutions: &[Solution]) {
-        let mut sim = incdx_sim::Simulator::new();
         for s in solutions {
             self.stats.audit_checks += 1;
-            let mut netlist = self.base.clone();
-            let applied = s.corrections.iter().all(|c| c.apply(&mut netlist).is_ok());
-            let verified = applied && {
-                let vals = sim.run_for_inputs(&netlist, &self.base_inputs, &self.vectors);
-                Response::compare(&netlist, &vals, &self.spec).matches()
-            };
-            if !verified {
+            if !self.replay_validates(&s.corrections) {
                 self.stats.audit_violations += 1;
                 debug_assert!(false, "audit: reported solution failed replay: {s:?}");
             }
@@ -1550,7 +1549,6 @@ impl Rectifier {
                 }) else {
                     continue;
                 };
-                let _ = cand;
                 let mut canonical = corrections.clone();
                 canonical.sort();
                 if !visited.insert(canonical.clone()) {
@@ -1564,11 +1562,20 @@ impl Rectifier {
                 {
                     continue;
                 }
-                // A child at the depth or node cap can never join the
+                // A last-slot child the parent's screening scores prove
+                // still fails is closed without preparing it. Any other
+                // child at the depth or node cap can never join the
                 // tree; evaluate it lazily — solution check only, no
                 // diagnosis/screening for a candidate list nobody reads.
-                let expandable = tree.expandable(corrections.len());
-                match self.evaluate(&corrections, level, expandable, disp) {
+                let outcome = if corrections.len() == self.config.max_corrections
+                    && !cand.repairs_every_vector()
+                {
+                    self.close_failing_leaf(&corrections)
+                } else {
+                    let expandable = tree.expandable(corrections.len());
+                    self.evaluate(&corrections, level, expandable, disp)
+                };
+                match outcome {
                     NodeEval::Solved => {
                         let mut key = corrections.clone();
                         key.sort();
@@ -1719,6 +1726,27 @@ impl Rectifier {
         }
     }
 
+    /// Closes a last-slot child whose parent's screening scores prove it
+    /// still fails ([`RankedCorrection::repairs_every_vector`] is
+    /// `false`): it counts as a node and is dead, with no prepare, no
+    /// simulation and no comparison. Under [`RectifyConfig::audit`] the
+    /// tuple is replayed from scratch; a leaf that replays as a solution
+    /// is a violation, fatal in debug builds.
+    fn close_failing_leaf(&mut self, corrections: &[Correction]) -> NodeEval {
+        self.stats.nodes += 1;
+        if self.config.audit {
+            self.stats.audit_checks += 1;
+            if self.replay_validates(corrections) {
+                self.stats.audit_violations += 1;
+                debug_assert!(
+                    false,
+                    "audit: leaf closed from its scores replays as a solution: {corrections:?}"
+                );
+            }
+        }
+        NodeEval::Dead
+    }
+
     /// Evaluates one hypothetical node — the base netlist with
     /// `corrections` applied — at a parameter level and returns its
     /// ranked, screened candidate list: the engine's view of "what would
@@ -1744,6 +1772,8 @@ impl Rectifier {
     /// and checked for being a solution, but diagnosis and screening —
     /// whose only product is the discarded candidate list — are skipped
     /// and an empty `Open` is returned for any still-failing node.
+    /// (The search loop closes last-slot children whose scores prove
+    /// they fail before asking; see [`Rectifier::close_failing_leaf`].)
     fn evaluate(
         &mut self,
         corrections: &[Correction],

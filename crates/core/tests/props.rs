@@ -1,11 +1,18 @@
 //! Property tests of the engine's screening primitives and small
 //! end-to-end invariants on random circuits.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use incdx_core::{
-    correction_output_row, default_ladder, path_trace_counts, path_trace_counts_batched, Rectifier,
-    RectifyConfig, TraversalKind,
+    correction_output_row, default_ladder, path_trace_counts, path_trace_counts_batched,
+    EvalContext, Evaluator, Incremental, PreparedNode, Rectifier, RectifyConfig, SimCounters,
+    TraversalKind,
 };
-use incdx_fault::{enumerate_corrections, CorrectionModel, StuckAt};
+use incdx_fault::{
+    enumerate_corrections, inject_design_errors, Correction, CorrectionModel, InjectionConfig,
+    StuckAt,
+};
 use incdx_gen::{random_dag, RandomDagConfig};
 use incdx_netlist::{GateId, Netlist};
 use incdx_sim::{PackedMatrix, Response, Simulator};
@@ -588,6 +595,184 @@ proptest! {
             prop_assert_eq!(flat.verdict, hier.verdict);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `RankedCorrection::repairs_every_vector` is exact. On random
+    /// circuits with one injected stuck-at fault or design error, every
+    /// root candidate of `stuck_at_exhaustive(1)` and of `dedc(1)` at
+    /// every ladder level — each one a last-slot child — is replayed
+    /// from scratch. For every candidate that applies, the scores and
+    /// the replay agree; one that does not apply cannot replay as a
+    /// solution. So a candidate whose scores say it leaves a failing
+    /// vector never is one, which is what lets the engine close those
+    /// leaves without preparing them.
+    #[test]
+    fn repairs_every_vector_matches_a_from_scratch_replay(
+        seed in 0u64..200,
+        pick in 0usize..1000,
+        design in prop::bool::ANY,
+        v in prop::bool::ANY,
+    ) {
+        let golden = dag(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1EAF);
+        // (netlist under diagnosis, the netlist whose responses it must match)
+        let (netlist, reference) = if design {
+            let config = InjectionConfig {
+                count: 1,
+                require_individually_observable: true,
+                check_vectors: 128,
+                max_attempts: 50,
+            };
+            let Ok(injection) = inject_design_errors(&golden, &config, &mut rng) else {
+                return Ok(());
+            };
+            (injection.corrupted, golden)
+        } else {
+            let mut device = golden.clone();
+            if StuckAt::new(GateId::from_index(pick % golden.len()), v)
+                .apply(&mut device)
+                .is_err()
+            {
+                return Ok(());
+            }
+            (golden, device)
+        };
+        let pi = PackedMatrix::random(netlist.inputs().len(), 128, &mut rng);
+        let mut sim = Simulator::new();
+        let spec = Response::capture(
+            &reference,
+            &sim.run_for_inputs(&reference, netlist.inputs(), &pi),
+        );
+        if Response::compare(&netlist, &sim.run(&netlist, &pi), &spec).matches() {
+            return Ok(()); // not excited
+        }
+        for config in [RectifyConfig::stuck_at_exhaustive(1), RectifyConfig::dedc(1)] {
+            let ladder = config.ladder.clone();
+            let mut rect = Rectifier::new(netlist.clone(), pi.clone(), spec.clone(), config)
+                .expect("well-formed inputs");
+            for level in &ladder {
+                for rc in rect.rank_candidates(&[], level) {
+                    let mut fixed = netlist.clone();
+                    if rc.correction.apply(&mut fixed).is_err() {
+                        continue;
+                    }
+                    let vals = sim.run_for_inputs(&fixed, netlist.inputs(), &pi);
+                    let solves = Response::compare(&fixed, &vals, &spec).matches();
+                    prop_assert_eq!(rc.repairs_every_vector(), solves, "{}", rc.correction);
+                }
+            }
+        }
+    }
+}
+
+/// An [`Evaluator`] decorator that counts `prepare` calls and forwards
+/// everything to the wrapped backend.
+#[derive(Debug)]
+struct CountingPrepares {
+    inner: Box<dyn Evaluator>,
+    prepares: Arc<AtomicU64>,
+}
+
+impl Evaluator for CountingPrepares {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn jobs(&self) -> usize {
+        self.inner.jobs()
+    }
+
+    fn incremental(&self) -> bool {
+        self.inner.incremental()
+    }
+
+    fn sparse(&self) -> bool {
+        self.inner.sparse()
+    }
+
+    fn counters(&self) -> SimCounters {
+        self.inner.counters()
+    }
+
+    fn prepare(
+        &mut self,
+        ctx: &mut EvalContext<'_>,
+        corrections: &[Correction],
+    ) -> Option<PreparedNode> {
+        self.prepares.fetch_add(1, Ordering::Relaxed);
+        self.inner.prepare(ctx, corrections)
+    }
+
+    fn cached(&mut self, corrections: &[Correction]) -> Option<(Netlist, PackedMatrix)> {
+        self.inner.cached(corrections)
+    }
+
+    fn retain(&mut self, corrections: &[Correction], netlist: Netlist, vals: PackedMatrix) -> u64 {
+        self.inner.retain(corrections, netlist, vals)
+    }
+
+    fn release(&mut self, corrections: &[Correction]) {
+        self.inner.release(corrections);
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+
+    fn retained_bytes(&self) -> usize {
+        self.inner.retained_bytes()
+    }
+
+    fn take_degradations(&mut self) -> Vec<incdx_core::DegradationEvent> {
+        self.inner.take_degradations()
+    }
+}
+
+/// The engine closes last-slot leaves from their parent's screening
+/// scores: on an exhaustive k=2 run the evaluator prepares fewer nodes
+/// than the search counts, and the solution set is unchanged.
+#[test]
+fn last_slot_leaves_close_without_a_prepare() {
+    let golden = dag(7);
+    let mut device_nl = golden.clone();
+    StuckAt::new(GateId::from_index(11 % golden.len()), false)
+        .apply(&mut device_nl)
+        .expect("apply a");
+    StuckAt::new(GateId::from_index(29 % golden.len()), true)
+        .apply(&mut device_nl)
+        .expect("apply b");
+    let mut rng = StdRng::seed_from_u64(7);
+    let pi = PackedMatrix::random(golden.inputs().len(), 128, &mut rng);
+    let mut sim = Simulator::new();
+    let device = Response::capture(
+        &device_nl,
+        &sim.run_for_inputs(&device_nl, golden.inputs(), &pi),
+    );
+    let config = RectifyConfig::stuck_at_exhaustive(2);
+    let prepares = Arc::new(AtomicU64::new(0));
+    let counted = Rectifier::new(golden.clone(), pi.clone(), device.clone(), config.clone())
+        .expect("well-formed inputs")
+        .with_evaluator(Box::new(CountingPrepares {
+            inner: Box::new(Incremental::new(config.matrix_cache_bytes).with_sparse(config.sparse)),
+            prepares: Arc::clone(&prepares),
+        }))
+        .run();
+    let prepares = prepares.load(Ordering::Relaxed);
+    assert!(prepares > 0, "the decorator saw the root");
+    assert!(
+        prepares < counted.stats.nodes as u64,
+        "{prepares} prepares for {} nodes: no leaf was closed from its scores",
+        counted.stats.nodes
+    );
+    let plain = Rectifier::new(golden, pi, device, config)
+        .expect("well-formed inputs")
+        .run();
+    assert!(!plain.solutions.is_empty());
+    assert_eq!(plain.solutions, counted.solutions);
+    assert_eq!(plain.stats.nodes, counted.stats.nodes);
 }
 
 /// Stats counters accumulate across rounds and respect the screening

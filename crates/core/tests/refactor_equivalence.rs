@@ -62,10 +62,14 @@ fn workload(seed: u64, pick: usize, faults: usize) -> Option<(Netlist, PackedMat
 
 /// Every counter that must agree between the legacy and refactored
 /// engines — everything except wall-clock timers, worker telemetry, the
-/// new `traversal`/`evaluator` name fields, and the simulation-effort
+/// new `traversal`/`evaluator` name fields, the simulation-effort
 /// counters (`words_simulated`, `events_propagated`, `words_skipped`):
 /// the pipeline reads heuristics 1 and 3 off one sensitivity pass per
-/// line where the monolith walked the cone once per candidate.
+/// line where the monolith walked the cone once per candidate — and
+/// `matrix_cache_hits`, which may only shrink: the monolith prepared
+/// every last-slot leaf from its parent's cached matrix, while the
+/// engine closes the leaves its screening scores prove failing without
+/// preparing them.
 fn assert_stats_identical(old: &RectifyResult, new: &RectifyResult) {
     assert_eq!(old.solutions, new.solutions, "solutions (and their order)");
     let (o, n) = (&old.stats, &new.stats);
@@ -93,9 +97,11 @@ fn assert_stats_identical(old: &RectifyResult, new: &RectifyResult) {
         "rejected_h3"
     );
     assert_eq!(o.cone_cache_hits, n.cone_cache_hits, "cone_cache_hits");
-    assert_eq!(
-        o.matrix_cache_hits, n.matrix_cache_hits,
-        "matrix_cache_hits"
+    assert!(
+        n.matrix_cache_hits <= o.matrix_cache_hits,
+        "matrix_cache_hits: {} > legacy {}",
+        n.matrix_cache_hits,
+        o.matrix_cache_hits
     );
     assert_eq!(
         o.matrix_cache_evictions, n.matrix_cache_evictions,

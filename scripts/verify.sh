@@ -46,16 +46,29 @@ echo "==> lint: example netlists + generated suite (--deny error)"
 cargo run -q -p incdx-bench --release --bin lint -- \
     examples/netlists/*.bench --suite --deny error >/dev/null
 
-echo "==> smoke: engine invariant audit (table2 --audit on c432a)"
-audit_out="$(cargo run -p incdx-bench --release --bin table2 -- \
-    --circuits c432a --trials 1 --vectors 256 --time-limit 10 --audit 2>/dev/null)"
-echo "$audit_out" | grep -q '"evaluator":"audit+' \
-    || { echo "table2 --audit did not engage the audit layer" >&2; exit 1; }
-echo "$audit_out" | grep -q '"violations":0' \
-    || { echo "audit reported violations (or none ran)" >&2; exit 1; }
-if echo "$audit_out" | grep -q '"audit":{"checks":0'; then
-    echo "audit layer performed zero checks" >&2; exit 1
-fi
+# Runs one bench binary under --audit: the audit layer must be engaged,
+# and no report line may show zero checks or a nonzero violation count.
+audit_smoke() {
+    local bin="$1" out
+    shift
+    echo "==> smoke: engine invariant audit ($bin --audit $*)"
+    out="$(cargo run -p incdx-bench --release --bin "$bin" -- "$@" --audit 2>/dev/null)"
+    echo "$out" | grep -q '"evaluator":"audit+' \
+        || { echo "$bin --audit did not engage the audit layer" >&2; exit 1; }
+    if echo "$out" | grep -q '"audit":{"checks":0'; then
+        echo "$bin --audit performed zero checks" >&2; exit 1
+    fi
+    if echo "$out" | grep -q '"violations":[1-9]'; then
+        echo "$bin --audit reported violations" >&2; exit 1
+    fi
+}
+
+audit_smoke table2 --circuits c432a --trials 1 --vectors 256 --time-limit 10
+# Exhaustive stuck-at search closes most last-slot leaves from their
+# parent's screening scores without preparing them; under --audit each
+# such leaf is replayed from scratch, so this run checks the shortcut
+# on the mode where it fires (one report line per fault count).
+audit_smoke table1 --circuits c17 --trials 1 --vectors 256 --time-limit 10
 
 echo "==> smoke: JSON report emission"
 out="$(cargo run -p incdx-bench --release --bin table2 -- \
