@@ -991,7 +991,7 @@ fn execute(shared: &Shared, stack: &mut WorkerStack, corrections: &[Correction])
             &response,
             corrections,
             &shared.level,
-            &mut cones,
+            &cones,
             &mut stats,
         );
         if candidates.is_empty() {

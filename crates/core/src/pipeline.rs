@@ -30,6 +30,7 @@
 //! master would compute inline, which is what lets speculation
 //! substitute for inline evaluation without perturbing the search.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -118,7 +119,7 @@ impl<'a> CandidatePipeline<'a> {
         response: &Response,
         corrections: &[Correction],
         level: &ParamLevel,
-        cones: &mut ConeCache,
+        cones: &ConeCache,
         stats: &mut RectifyStats,
     ) -> Vec<RankedCorrection> {
         // ---- Diagnosis (§3.1) ----
@@ -193,8 +194,8 @@ impl<'a> CandidatePipeline<'a> {
             .collect();
         // When the level disables the h1 filter (exhaustive stuck-at
         // mode), skip the sensitivity passes here and order lines by
-        // path-trace count alone; screening then runs a pass only for
-        // lines with a heuristic-2 survivor.
+        // path-trace count alone; screening then runs a pass, and
+        // computes a cone, only for lines with a heuristic-2 survivor.
         let scored_lines: Vec<ScoredLine> = if level.h1 <= 0.0 {
             let max_count = promoted
                 .first()
@@ -306,7 +307,7 @@ impl<'a> CandidatePipeline<'a> {
         corrections: &[Correction],
         remaining: usize,
         marked: &mut Vec<GateId>,
-        cones: &mut ConeCache,
+        cones: &ConeCache,
         stats: &mut RectifyStats,
     ) {
         use incdx_analysis::{observable_changes, Constants, PoReach, PoSet};
@@ -382,8 +383,10 @@ impl<'a> CandidatePipeline<'a> {
     /// Lines are scored in parallel; each worker owns a simulator and a
     /// private copy of the value matrix (every pass restores the cone
     /// rows it perturbs, so the copy stays equal to `vals` between
-    /// tasks). Scores merge in input order and the final sort is
-    /// stable, so the ranking is bit-identical to the serial one.
+    /// tasks), and fetches its line's cone from the shared `cones`,
+    /// computing it there on first read. Scores merge in input order and
+    /// the final sort is stable, so the ranking is bit-identical to the
+    /// serial one.
     #[allow(clippy::too_many_arguments)]
     fn rank_lines(
         &self,
@@ -392,13 +395,10 @@ impl<'a> CandidatePipeline<'a> {
         response: &Response,
         mismatch: &[Vec<u64>],
         lines: &[GateId],
-        cones: &mut ConeCache,
+        cones: &ConeCache,
         stats: &mut RectifyStats,
     ) -> Vec<ScoredLine> {
         let total_bad = response.mismatch_bits().max(1);
-        // Memoize every line's cone up front (serially), then share the
-        // `Arc`s read-only across workers.
-        let cone_refs: Vec<Arc<ConeSet>> = lines.iter().map(|&l| cones.get(netlist, l)).collect();
         let cancel = &self.cancel;
         let chaos = self
             .chaos
@@ -418,7 +418,8 @@ impl<'a> CandidatePipeline<'a> {
                 let words_before = sim.words_simulated();
                 let events_before = sim.events_propagated();
                 let skipped_before = sim.words_skipped();
-                let flips = sensitivity(netlist, sim, vals, lines[i], &cone_refs[i], saved);
+                let cone = cones.get(netlist, lines[i]);
+                let flips = sensitivity(netlist, sim, vals, lines[i], &cone, saved);
                 (
                     flips,
                     sim.words_simulated() - words_before,
@@ -456,9 +457,10 @@ impl<'a> CandidatePipeline<'a> {
     /// both screening phases. Workers carry a private simulator plus a
     /// private copy of the value matrix (a sensitivity pass run here,
     /// for lines heuristic 1 did not score, restores every cone row it
-    /// perturbs, so the copy stays equal to `vals` between tasks);
-    /// survivors merge in line order, preserving the serial candidate
-    /// sequence bit for bit.
+    /// perturbs, so the copy stays equal to `vals` between tasks). A
+    /// task fetches its line's cone from the shared `cones` once, when
+    /// it first reads it; survivors merge in line order, preserving the
+    /// serial candidate sequence bit for bit.
     #[allow(clippy::too_many_arguments)]
     fn screen(
         &self,
@@ -472,7 +474,7 @@ impl<'a> CandidatePipeline<'a> {
         h2_threshold: f64,
         n_err: usize,
         n_corr: usize,
-        cones: &mut ConeCache,
+        cones: &ConeCache,
         stats: &mut RectifyStats,
     ) -> Vec<RankedCorrection> {
         let t_screen = Instant::now();
@@ -507,12 +509,6 @@ impl<'a> CandidatePipeline<'a> {
         stats.lines_rejected_h1 += scored_lines.len() - keep;
         let active = &scored_lines[..keep];
         let config = self.config;
-        // Memoize the active lines' cones up front (serially) and share the
-        // `Arc`s read-only across workers — the sensitivity pass, the
-        // out-of-cone failing row and the wire-source eligibility test
-        // all read the same cones.
-        let cone_refs: Vec<Arc<ConeSet>> =
-            active.iter().map(|l| cones.get(netlist, l.line)).collect();
         let cancel = &self.cancel;
         let chaos = self
             .chaos
@@ -537,7 +533,12 @@ impl<'a> CandidatePipeline<'a> {
                     chaos.maybe_panic(*section, li);
                 }
                 let line = active[li].line;
-                let cone = &cone_refs[li];
+                // The line's cone, fetched from the shared cache on first
+                // read: the wire-source eligibility test, the sensitivity
+                // pass and the out-of-cone failing row all read it, but a
+                // stuck-at line with no heuristic-2 survivor never does.
+                let cone_cell = OnceCell::new();
+                let cone = || cone_cell.get_or_init(|| cones.get(netlist, line));
                 let mut delta = ScreenDelta::default();
                 let mut sparse_ops = 0u64;
                 let words_before = sim.words_simulated();
@@ -581,6 +582,7 @@ impl<'a> CandidatePipeline<'a> {
                         let gate = netlist.gate(line);
                         let kind = gate.kind();
                         let fanins = gate.fanins().to_vec();
+                        let cone = cone();
                         // Words outside the occupied ranges keep the fold
                         // identity — safe, because `combine` results are
                         // only read under the error mask, which is zero
@@ -749,6 +751,7 @@ impl<'a> CandidatePipeline<'a> {
                 // not score the line). ----
                 let mut line_ranked: Vec<RankedCorrection> = Vec::new();
                 if !pass.is_empty() {
+                    let cone = cone();
                     let computed;
                     let flips = match &active[li].flips {
                         Some(flips) => flips,
@@ -965,10 +968,91 @@ fn sensitivity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incdx_fault::StuckAt;
     use incdx_gen::{random_dag, RandomDagConfig};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
+
+    /// In exhaustive stuck-at mode heuristic 1 is off, so no sensitivity
+    /// pass runs in ranking: screening reads a line's cone only when the
+    /// line has a heuristic-2 survivor. At the last slot (k = 1) a
+    /// stuck-at candidate survives only if the line is constant over
+    /// `V_err`, so most promoted lines have none and compute no cone.
+    #[test]
+    fn h1_off_screening_computes_only_the_cones_it_reads() {
+        let config = RectifyConfig::stuck_at_exhaustive(1);
+        let level = config.ladder[0];
+        assert!(level.h1 <= 0.0, "the exhaustive level disables heuristic 1");
+        let dag = RandomDagConfig {
+            inputs: 8,
+            gates: 60,
+            outputs: 6,
+            max_fanin: 3,
+            xor_fraction: 0.2,
+            window: 16,
+        };
+        let mut below_promoted = 0;
+        for seed in 0..12u64 {
+            let netlist = random_dag(&dag, seed);
+            let fault = StuckAt::new(GateId::from_index(netlist.len() / 2), seed % 2 == 0);
+            let mut device = netlist.clone();
+            if fault.apply(&mut device).is_err() {
+                continue;
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pi = PackedMatrix::random(netlist.inputs().len(), 256, &mut rng);
+            let mut sim = Simulator::new();
+            let spec =
+                Response::capture(&device, &sim.run_for_inputs(&device, netlist.inputs(), &pi));
+            let vals = sim.run(&netlist, &pi);
+            let response = Response::compare(&netlist, &vals, &spec);
+            if response.matches() {
+                continue; // fault not excited
+            }
+            let cones = ConeCache::new(&netlist);
+            let mut stats = RectifyStats::default();
+            let ranked = CandidatePipeline::new(&config, &spec, 1).run(
+                &netlist,
+                &vals,
+                &response,
+                &[],
+                &level,
+                &cones,
+                &mut stats,
+            );
+            let survivors = stats.corrections_qualified + stats.corrections_rejected_h3;
+            assert!(
+                cones.populated() <= survivors,
+                "seed {seed}: {} cones for {survivors} h2 survivors",
+                cones.populated()
+            );
+            let counts = path_trace_counts_batched(
+                &netlist,
+                &vals,
+                &response,
+                &spec,
+                config.path_trace_vector_cap,
+            );
+            let promoted = counts.iter().filter(|&&c| c > 0).count();
+            let surviving_lines: HashSet<GateId> =
+                ranked.iter().map(|r| r.correction.line()).collect();
+            if stats.corrections_rejected_h3 == 0 {
+                // Every survivor qualified, so the ranked lines are
+                // exactly the lines whose cones screening read.
+                assert_eq!(cones.populated(), surviving_lines.len(), "seed {seed}");
+            }
+            if surviving_lines.len() < promoted {
+                assert!(cones.populated() < promoted, "seed {seed}");
+                below_promoted += 1;
+            }
+        }
+        assert!(
+            below_promoted > 0,
+            "no case had a promoted line without a survivor"
+        );
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]

@@ -345,8 +345,11 @@ pub struct RectifyStats {
     /// Operations where sparse mode was on but the dense path ran anyway
     /// (rows narrower than one block, or a mask with nothing to skip).
     pub dense_fallbacks: u64,
-    /// Memoized fanout-cone lookups served from a [`ConeCache`] instead of
-    /// recomputed.
+    /// Fanout-cone lookups served from a [`ConeCache`] instead of
+    /// computed. Screening computes a line's cone on its first read, so
+    /// this counts memoization effort, not search: parallel screening
+    /// leaves it unchanged, and a change that reads fewer cones lowers it
+    /// without touching any other counter.
     pub cone_cache_hits: u64,
     /// Node evaluations that started from a cached parent value matrix
     /// instead of a from-scratch resimulation.
@@ -1866,7 +1869,7 @@ impl Rectifier {
                 &response,
                 corrections,
                 level,
-                &mut cones,
+                &cones,
                 &mut self.stats,
             );
             if !self.degrade_serial

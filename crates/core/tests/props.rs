@@ -164,9 +164,11 @@ proptest! {
     }
 
     /// Parallel screening is bit-identical to serial: the same problem
-    /// solved with `jobs = 1` and `jobs = 4` yields the same solutions
-    /// and the same deterministic counters. (Wall-clock timers and
-    /// worker telemetry are excluded — they are the only permitted
+    /// solved with `jobs = 1` and `jobs = 4`, in DEDC and in exhaustive
+    /// stuck-at mode, yields the same solutions and the same
+    /// deterministic counters — `cone_cache_hits` included, although
+    /// the workers fill the cone cache concurrently. (Wall-clock timers
+    /// and worker telemetry are excluded — they are the only permitted
     /// divergence.)
     #[test]
     fn parallel_screening_matches_serial(seed in 0u64..40, pick in 0usize..1000, v in prop::bool::ANY) {
@@ -187,27 +189,30 @@ proptest! {
                 return Ok(()); // fault not excited
             }
         }
-        let run = |jobs: usize| {
-            let mut config = RectifyConfig::dedc(2);
-            config.jobs = jobs;
-            Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
-                .expect("well-formed inputs")
-                .run()
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        prop_assert_eq!(&serial.solutions, &parallel.solutions);
-        let (s, p) = (&serial.stats, &parallel.stats);
-        prop_assert_eq!(s.nodes, p.nodes);
-        prop_assert_eq!(s.rounds, p.rounds);
-        prop_assert_eq!(s.corrections_screened, p.corrections_screened);
-        prop_assert_eq!(s.corrections_qualified, p.corrections_qualified);
-        prop_assert_eq!(s.corrections_rejected_h2, p.corrections_rejected_h2);
-        prop_assert_eq!(s.corrections_rejected_h3, p.corrections_rejected_h3);
-        prop_assert_eq!(s.lines_rejected_h1, p.lines_rejected_h1);
-        prop_assert_eq!(s.words_simulated, p.words_simulated);
-        prop_assert_eq!(s.deepest_ladder_level, p.deepest_ladder_level);
-        prop_assert_eq!(s.truncated, p.truncated);
+        for base in [RectifyConfig::dedc(2), RectifyConfig::stuck_at_exhaustive(2)] {
+            let run = |jobs: usize| {
+                let mut config = base.clone();
+                config.jobs = jobs;
+                Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
+                    .expect("well-formed inputs")
+                    .run()
+            };
+            let serial = run(1);
+            let parallel = run(4);
+            prop_assert_eq!(&serial.solutions, &parallel.solutions);
+            let (s, p) = (&serial.stats, &parallel.stats);
+            prop_assert_eq!(s.nodes, p.nodes);
+            prop_assert_eq!(s.rounds, p.rounds);
+            prop_assert_eq!(s.corrections_screened, p.corrections_screened);
+            prop_assert_eq!(s.corrections_qualified, p.corrections_qualified);
+            prop_assert_eq!(s.corrections_rejected_h2, p.corrections_rejected_h2);
+            prop_assert_eq!(s.corrections_rejected_h3, p.corrections_rejected_h3);
+            prop_assert_eq!(s.lines_rejected_h1, p.lines_rejected_h1);
+            prop_assert_eq!(s.words_simulated, p.words_simulated);
+            prop_assert_eq!(s.cone_cache_hits, p.cone_cache_hits);
+            prop_assert_eq!(s.deepest_ladder_level, p.deepest_ladder_level);
+            prop_assert_eq!(s.truncated, p.truncated);
+        }
     }
 
     /// The event-driven incremental engine (matrix reuse + change-bounded

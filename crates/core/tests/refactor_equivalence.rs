@@ -65,11 +65,13 @@ fn workload(seed: u64, pick: usize, faults: usize) -> Option<(Netlist, PackedMat
 /// new `traversal`/`evaluator` name fields, the simulation-effort
 /// counters (`words_simulated`, `events_propagated`, `words_skipped`):
 /// the pipeline reads heuristics 1 and 3 off one sensitivity pass per
-/// line where the monolith walked the cone once per candidate — and
-/// `matrix_cache_hits`, which may only shrink: the monolith prepared
-/// every last-slot leaf from its parent's cached matrix, while the
-/// engine closes the leaves its screening scores prove failing without
-/// preparing them.
+/// line where the monolith walked the cone once per candidate — and two
+/// effort counters that may only shrink: `matrix_cache_hits`, because
+/// the monolith prepared every last-slot leaf from its parent's cached
+/// matrix, while the engine closes the leaves its screening scores prove
+/// failing without preparing them; and `cone_cache_hits` (cone lookups),
+/// because the monolith memoizes the cone of every active line, while
+/// the engine memoizes only the lines it reads.
 fn assert_stats_identical(old: &RectifyResult, new: &RectifyResult) {
     assert_eq!(old.solutions, new.solutions, "solutions (and their order)");
     let (o, n) = (&old.stats, &new.stats);
@@ -96,7 +98,12 @@ fn assert_stats_identical(old: &RectifyResult, new: &RectifyResult) {
         o.corrections_rejected_h3, n.corrections_rejected_h3,
         "rejected_h3"
     );
-    assert_eq!(o.cone_cache_hits, n.cone_cache_hits, "cone_cache_hits");
+    assert!(
+        n.cone_cache_hits <= o.cone_cache_hits,
+        "cone_cache_hits: {} > legacy {}",
+        n.cone_cache_hits,
+        o.cone_cache_hits
+    );
     assert!(
         n.matrix_cache_hits <= o.matrix_cache_hits,
         "matrix_cache_hits: {} > legacy {}",

@@ -4,10 +4,11 @@
 //! screening pass walks the cone of every suspect line, and heuristic 1
 //! re-propagates through it once per evaluation. [`ConeCache`] memoizes
 //! [`Netlist::fanout_cone_sorted`]-style results per line so each cone is
-//! computed once per netlist and then shared — including read-only across
-//! worker threads, via [`Arc`].
+//! computed at most once per netlist, on first read, and then shared —
+//! including across worker threads, via [`Arc`].
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::bitset::DenseBitSet;
 use crate::gate::GateId;
@@ -60,67 +61,87 @@ impl ConeSet {
     }
 }
 
-/// Per-netlist memo of fanout cones, one optional slot per gate id.
+/// Per-netlist memo of fanout cones, one write-once slot per gate id.
 ///
 /// A cache is bound to the netlist whose `len()` it was created with and
 /// must not be used after structural edits (`replace_gate`/`append_gate`
 /// rebuild fanouts, invalidating every cone) — build a fresh cache for the
 /// edited netlist instead. Entries are handed out as [`Arc<ConeSet>`] so
 /// screening workers can hold them without cloning the underlying vectors.
+///
+/// The cache fills on demand through a shared reference: a cone is
+/// computed on its first [`Self::get`], by whichever thread asks first,
+/// and every later lookup — from any thread — is a counted hit. A cone is
+/// a pure function of the netlist, so which thread computes it never
+/// shows in the results, and the hit count (lookups minus distinct stems
+/// computed) does not depend on thread timing either.
+///
 /// Cloning is cheap — populated slots are `Arc`s, so a clone shares
 /// every computed cone with the original (a warmed cache can be handed
 /// to each slice of a resumable session without recomputation).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct ConeCache {
-    slots: Vec<Option<Arc<ConeSet>>>,
-    hits: u64,
+    slots: Vec<OnceLock<Arc<ConeSet>>>,
+    hits: AtomicU64,
+}
+
+impl Clone for ConeCache {
+    fn clone(&self) -> Self {
+        ConeCache {
+            slots: self.slots.clone(),
+            hits: AtomicU64::new(self.hits()),
+        }
+    }
 }
 
 impl ConeCache {
     /// An empty cache sized for `netlist`.
     pub fn new(netlist: &Netlist) -> Self {
         ConeCache {
-            slots: vec![None; netlist.len()],
-            hits: 0,
+            slots: vec![OnceLock::new(); netlist.len()],
+            hits: AtomicU64::new(0),
         }
     }
 
     /// The memoized cone of `stem`, computing and storing it on first use.
+    /// Threads racing on an empty slot compute it once; the losers wait
+    /// for that cone and count a hit.
     ///
     /// # Panics
     ///
     /// Panics if the cache was built for a netlist of a different size
     /// (the telltale of using a stale cache after a structural edit).
-    pub fn get(&mut self, netlist: &Netlist, stem: GateId) -> Arc<ConeSet> {
+    pub fn get(&self, netlist: &Netlist, stem: GateId) -> Arc<ConeSet> {
         assert_eq!(
             self.slots.len(),
             netlist.len(),
             "cone cache bound to a different netlist"
         );
-        let slot = &mut self.slots[stem.index()];
-        if let Some(cone) = slot {
-            self.hits += 1;
-            return Arc::clone(cone);
+        let mut computed = false;
+        let cone = self.slots[stem.index()].get_or_init(|| {
+            computed = true;
+            Arc::new(ConeSet::compute(netlist, stem))
+        });
+        if !computed {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        let cone = Arc::new(ConeSet::compute(netlist, stem));
-        *slot = Some(Arc::clone(&cone));
-        cone
+        Arc::clone(cone)
     }
 
     /// Cache hits since construction (or the last [`Self::take_hits`]).
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Drains the hit counter, returning its value and resetting it to zero
     /// (used to fold per-evaluation hits into run statistics).
     pub fn take_hits(&mut self) -> u64 {
-        std::mem::take(&mut self.hits)
+        std::mem::take(self.hits.get_mut())
     }
 
     /// Number of stems whose cone has been computed and memoized.
     pub fn populated(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.iter().filter(|s| s.get().is_some()).count()
     }
 
     /// Capacity in stems (the gate count of the bound netlist).
@@ -133,6 +154,7 @@ impl ConeCache {
 mod tests {
     use super::*;
     use crate::bench_format::parse_bench;
+    use std::sync::Barrier;
 
     const C17: &str = "\
 INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
@@ -170,10 +192,67 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
     }
 
     #[test]
+    fn concurrent_gets_compute_each_stem_once() {
+        let n = parse_bench(C17).unwrap();
+        let ids: Vec<GateId> = n.ids().collect();
+        let cache = ConeCache::new(&n);
+        // Four threads share stems 0..4 and each asks for one stem of its
+        // own (4..8); stems 8.. are never asked for. The barrier releases
+        // them together, so they race on the shared stems' empty slots.
+        let (shared, own) = (&ids[..4], &ids[4..8]);
+        let start = Barrier::new(own.len());
+        let fetched: Vec<Vec<(GateId, Arc<ConeSet>)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = own
+                .iter()
+                .map(|&mine| {
+                    let (cache, n, start) = (&cache, &n, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        shared
+                            .iter()
+                            .chain([&mine])
+                            .map(|&stem| (stem, cache.get(n, stem)))
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(cache.populated(), 8, "one cone per distinct stem asked for");
+        assert_eq!(cache.hits(), 4 * 5 - 8, "every lookup after a stem's first");
+        for (stem, cone) in fetched.iter().flatten() {
+            assert_eq!(cone.sorted(), ConeSet::compute(&n, *stem).sorted());
+            let memo = cache.get(&n, *stem);
+            assert!(
+                Arc::ptr_eq(cone, &memo),
+                "every thread got the one memoized cone"
+            );
+        }
+    }
+
+    #[test]
+    fn clone_shares_computed_cones() {
+        let n = parse_bench(C17).unwrap();
+        let (warm, cold) = (n.find_by_name("11").unwrap(), n.find_by_name("16").unwrap());
+        let cache = ConeCache::new(&n);
+        let a = cache.get(&n, warm);
+        let copy = cache.clone();
+        assert_eq!(copy.populated(), 1);
+        assert!(
+            Arc::ptr_eq(&a, &copy.get(&n, warm)),
+            "clone reuses the cone"
+        );
+        assert_eq!(copy.hits(), 1);
+        copy.get(&n, cold);
+        assert_eq!(copy.populated(), 2);
+        assert_eq!(cache.populated(), 1, "the original's slots are its own");
+    }
+
+    #[test]
     #[should_panic(expected = "different netlist")]
     fn cache_rejects_wrong_netlist_size() {
         let n = parse_bench(C17).unwrap();
-        let mut cache = ConeCache::default(); // zero slots
+        let cache = ConeCache::default(); // zero slots
         cache.get(&n, GateId::from_index(0));
     }
 }

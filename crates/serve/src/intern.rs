@@ -214,7 +214,7 @@ mod tests {
         assert!(intern.cones(42).is_none());
         let netlist =
             incdx_netlist::parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n").unwrap();
-        let mut warmed = ConeCache::new(&netlist);
+        let warmed = ConeCache::new(&netlist);
         warmed.get(&netlist, incdx_netlist::GateId(0));
         intern.deposit_cones(42, ConeCache::new(&netlist));
         intern.deposit_cones(42, warmed.clone());

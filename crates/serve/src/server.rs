@@ -13,7 +13,8 @@
 //! * **Durable progress.** A job's spool record is rewritten (atomic
 //!   temp-file + rename, see [`crate::spool`]) at admission, at every
 //!   slice boundary with the engine checkpoint embedded, and at its
-//!   terminal transition. `kill -9` between any two writes loses at
+//!   terminal transition, which drops the checkpoint (a finished job
+//!   never resumes). `kill -9` between any two writes loses at
 //!   most the slice in flight; restart re-runs it from the last
 //!   checkpoint and — by the engine's lossless checkpoint/resume
 //!   contract — reaches the identical solution set.
@@ -102,7 +103,8 @@ struct Job {
     /// Base-netlist fingerprint once the workload has been built (0
     /// before the first slice; recovered records carry the pinned one).
     fingerprint: u64,
-    /// Latest engine checkpoint (present between slices).
+    /// Latest engine checkpoint (present between slices; dropped at
+    /// the terminal transition).
     checkpoint: Option<Checkpoint>,
     /// Terminal summary, once terminal.
     outcome: Option<JobOutcome>,
@@ -507,7 +509,6 @@ fn apply_slice(state: &ServerState, id: u64, budget: u64, end: SliceEnd) {
             // outcome and a fresh terminal record.
             let name = state.spool.quarantine(id);
             state.quarantined.fetch_add(1, Ordering::Relaxed);
-            job.checkpoint = None;
             terminal = Some((
                 JobState::Failed,
                 JobOutcome {
@@ -599,6 +600,9 @@ fn apply_slice(state: &ServerState, id: u64, budget: u64, end: SliceEnd) {
     if let Some((final_state, outcome)) = terminal {
         job.state = final_state;
         job.outcome = Some(outcome);
+        // A finished job never resumes: drop its last checkpoint so the
+        // job table and the terminal spool record stop carrying it.
+        job.checkpoint = None;
         inner.queue.finish(id);
         state.completed.fetch_add(1, Ordering::Relaxed);
     }
@@ -702,6 +706,7 @@ fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener) {
                 if state.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                let stream = accepted(stream);
                 let st = Arc::clone(state);
                 std::thread::spawn(move || handle_client(&st, stream));
             }
@@ -712,6 +717,17 @@ fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener) {
             }
         }
     }
+}
+
+/// Readies an accepted client stream. Replies and events are short
+/// lines, and one often follows another that the client has not yet
+/// acknowledged (a job's `verdict` behind its `subscribed` reply).
+/// Nagle's algorithm would hold such a line back until the client's
+/// delayed ACK, for up to 40 ms; `TCP_NODELAY` sends every line at once.
+fn accepted(stream: TcpStream) -> TcpStream {
+    // Best effort: a stream that refuses the option still serves.
+    let _ = stream.set_nodelay(true);
+    stream
 }
 
 fn handle_client(state: &Arc<ServerState>, stream: TcpStream) {
@@ -830,8 +846,10 @@ fn cancel(state: &ServerState, id: u64) -> String {
     job.cancel.cancel();
     match job.state {
         JobState::Queued | JobState::Waiting | JobState::Interrupted => {
-            // Not on a worker: finalize immediately.
+            // Not on a worker: finalize immediately, dropping any
+            // checkpoint a waiting or interrupted job still holds.
             job.state = JobState::Cancelled;
+            job.checkpoint = None;
             job.outcome = Some(JobOutcome {
                 verdict: "cancelled".to_string(),
                 solutions_fp: solution_fingerprint(&[]),
@@ -974,6 +992,15 @@ mod tests {
             SliceEnd::NoFailing => {}
             _ => panic!("a clean slice must pass through"),
         }
+    }
+
+    #[test]
+    fn accepted_streams_send_without_nagle_delay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _client = TcpStream::connect(listener.local_addr().expect("bound address"))
+            .expect("connect over loopback");
+        let (stream, _) = listener.accept().expect("accept");
+        assert_eq!(accepted(stream).nodelay().ok(), Some(true));
     }
 
     #[test]

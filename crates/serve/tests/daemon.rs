@@ -1,6 +1,7 @@
 //! In-process daemon integration tests: protocol round trips, artifact
 //! interning, fair-share preemption, cancellation, typed backpressure,
-//! spool quarantine, and graceful-interrupt recovery determinism.
+//! checkpoint-free terminal records, spool quarantine, and
+//! graceful-interrupt recovery determinism.
 
 mod common;
 
@@ -184,6 +185,53 @@ fn cancel_lands_mid_run_and_between_slices() {
     client.wait_status(busy, Duration::from_secs(60), is_terminal);
     server.stop();
     server.join();
+}
+
+/// A finished job never resumes, so its terminal spool record carries
+/// no checkpoint: neither a multi-slice job that runs to completion nor
+/// one cancelled while it waits between slices.
+#[test]
+fn terminal_spool_records_carry_no_checkpoint() {
+    use incdx_serve::SpoolRecord;
+
+    let dir = spool_dir("terminal");
+    let server = start(ServeConfig {
+        spool_dir: dir.clone(),
+        workers: 1,
+        quantum: 50,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.port());
+    let finished = submit_ok(&mut client, &giant_submit_line("t"));
+    let cancelled = submit_ok(&mut client, &giant_submit_line("t2"));
+    // The one worker alternates the two jobs slice by slice, so between
+    // its own slices the second job waits with a checkpoint. (Should the
+    // worker pick it up first, the cancel lands mid-slice instead, and
+    // the slice's terminal transition must drop the checkpoint too.)
+    client.wait_status(cancelled, Duration::from_secs(120), |s| {
+        state_of(s) == "waiting"
+    });
+    client.request(&format!("{{\"req\":\"cancel\",\"job\":{cancelled}}}"));
+    let c = client.wait_status(cancelled, Duration::from_secs(60), is_terminal);
+    assert_eq!(state_of(&c), "cancelled");
+    let f = client.wait_status(finished, Duration::from_secs(300), is_terminal);
+    assert_eq!(state_of(&f), "done");
+    assert!(
+        f.get("slices").and_then(|v| v.as_u64()).unwrap() >= 2,
+        "the finished job must have spanned several slices"
+    );
+    server.stop();
+    server.join();
+    for id in [finished, cancelled] {
+        let text = std::fs::read_to_string(dir.join(format!("job-{id}.json")))
+            .expect("terminal record on disk");
+        let rec = SpoolRecord::from_json(text.trim()).expect("terminal record parses");
+        assert!(rec.state.terminal(), "job {id} is {}", rec.state.tag());
+        assert!(
+            rec.checkpoint.is_none(),
+            "job {id}'s terminal record still carries a checkpoint"
+        );
+    }
 }
 
 #[test]
