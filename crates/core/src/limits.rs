@@ -153,6 +153,10 @@ pub enum Verdict {
         /// `remaining_failures` of the best-ranked partial solution.
         best_remaining_failures: usize,
     },
+    /// An engine cap (rounds, nodes, solutions, legacy `time_limit`)
+    /// stopped an exhaustive enumeration after it had found solutions:
+    /// each reported solution replays, but the set may be incomplete.
+    Truncated,
     /// [`RectifyLimits::deadline`] expired.
     DeadlineExceeded,
     /// A node/words/bytes budget in [`RectifyLimits`] was exhausted.
@@ -172,6 +176,7 @@ impl Verdict {
         match self {
             Verdict::Exact => "exact",
             Verdict::Partial { .. } => "partial",
+            Verdict::Truncated => "truncated",
             Verdict::DeadlineExceeded => "deadline-exceeded",
             Verdict::BudgetExhausted => "budget-exhausted",
             Verdict::Cancelled => "cancelled",
@@ -338,6 +343,8 @@ mod tests {
             "partial"
         );
         assert_eq!(Verdict::DeadlineExceeded.tag(), "deadline-exceeded");
+        assert_eq!(Verdict::Truncated.tag(), "truncated");
+        assert!(!Verdict::Truncated.is_early_stop());
         assert!(Verdict::Cancelled.is_early_stop());
         assert!(!Verdict::Degraded.is_early_stop());
         assert_eq!(

@@ -18,9 +18,22 @@
 //! only its line's row, and wire sources lie outside the line's cone, so
 //! on each vector every PO bit depends on the line's bit alone: the
 //! corrected PO row is exactly `po ^ ((new_row ^ cur_row) & S_po)`.
-//! Heuristic 1 (§3.1) becomes `Σ popcount(mismatch_po & S_po)`, and each
-//! heuristic-3 check (§3.2) a few masked popcounts — no cone walk per
-//! candidate.
+//! Heuristic 1 (§3.1) becomes `Σ popcount(mismatch_po & S_po)`. For
+//! heuristic 3 (§3.2) the masks fold once per line into the failing row
+//! the line's flip leaves, and each survivor costs at most two masked
+//! popcounts against it ([`FlipMasks`]) — no cone walk and no per-PO fold
+//! per candidate.
+//!
+//! Heuristic 2 (§3.2) is counted, not evaluated, wherever a closed form
+//! exists: stuck-at constants share one popcount per line, and every wire
+//! candidate's count follows from a few per-line masks and at most
+//! `1 + ports` popcounts per source ([`WireMasks`]). Only the remaining design-error
+//! candidates (kind changes, inverted, removed or wired-through inputs)
+//! evaluate their output row, with
+//! [`correction_output_row_into`](crate::screen::correction_output_row_into);
+//! heuristic 3 evaluates each survivor's row the same way. Every count is
+//! the integer the candidate's evaluated row would give, so scores and
+//! rankings are exact.
 //!
 //! The candidate list is a **pure function** of (netlist, value
 //! matrix, reference response, applied corrections, ladder level,
@@ -453,6 +466,14 @@ impl<'a> CandidatePipeline<'a> {
     /// The screening stage: enumerate corrections per qualified line,
     /// filter with heuristics 2 and 3, and rank the survivors.
     ///
+    /// Every score comes from three integer counts per candidate —
+    /// `complemented` (h2), `fixed` (h1) and `newly_err` (h3) — read off a
+    /// few masks per line rather than evaluated candidate by candidate.
+    /// Heuristic 2 is closed-form for stuck-at constants and wire
+    /// candidates ([`WireMasks`]); heuristic 3 is at most two masked
+    /// popcounts per survivor against the line's flip row
+    /// ([`FlipMasks`]), the second only for candidates that pass it.
+    ///
     /// Suspect lines fan out across workers, one task per line covering
     /// both screening phases. Workers carry a private simulator plus a
     /// private copy of the value matrix (a sensitivity pass run here,
@@ -484,10 +505,10 @@ impl<'a> CandidatePipeline<'a> {
         let err_words: Vec<u64> = response.failing_vectors().words().to_vec();
         let v_ratio = n_err as f64 / nv as f64;
         // Heuristic-2 popcounts only read words under the error mask, so
-        // in sparse mode the wire loops walk just the occupied block
-        // ranges — every skipped word contributes zero either way (the
-        // sparse ≡ dense contract; see ARCHITECTURE.md). A mask with
-        // nothing to skip falls back to the dense single range.
+        // in sparse mode they walk just the occupied block ranges — every
+        // skipped word contributes zero either way (the sparse ≡ dense
+        // contract; see ARCHITECTURE.md). A mask with nothing to skip
+        // falls back to the dense single range.
         let dense_range = [(0usize, wpr)];
         if matches!(mask, Some(m) if m.is_dense()) {
             stats.dense_fallbacks += 1;
@@ -499,6 +520,21 @@ impl<'a> CandidatePipeline<'a> {
         let (ranges, skip_per_op): (&[(usize, usize)], u64) = match mask {
             Some(m) => (&sparse_ranges, m.summary().skipped_blocks() as u64),
             None => (&dense_range, 0),
+        };
+        // Heuristic 2 keeps a candidate whose `complemented / |V_err|`
+        // reaches the threshold. That test is monotone in the integer
+        // count, so it reduces to one least passing count per node.
+        let err_fraction = |complemented: usize| complemented as f64 / n_err.max(1) as f64;
+        let h2_min = least_accepted(n_err, |x| err_fraction(x) + 1e-12 >= h2_threshold);
+        // `|src ∧ V_err|` of every signal, shared by every line's wire
+        // candidates.
+        let src_err: Vec<usize> = if self.config.model == CorrectionModel::DesignErrors {
+            netlist
+                .ids()
+                .map(|g| and_count(vals.row(g.index()), &err_words, ranges))
+                .collect()
+        } else {
+            Vec::new()
         };
         // scored_lines is sorted descending, so the h1 threshold keeps a
         // prefix; everything after it is rejected wholesale.
@@ -544,92 +580,48 @@ impl<'a> CandidatePipeline<'a> {
                 let words_before = sim.words_simulated();
                 let events_before = sim.events_propagated();
                 let skipped_before = sim.words_skipped();
-                // ---- Phase A: heuristic 2 on every candidate (cheap,
-                // local, allocation-free for the wire corrections that
-                // dominate). ----
+                // ---- Phase A: heuristic 2 on every candidate. ----
                 let mut pass: Vec<(Correction, f64)> = Vec::new();
                 let cur = vals.row(line.index()).to_vec();
-                let qualifies = |complemented: usize| -> bool {
-                    complemented as f64 / n_err.max(1) as f64 + 1e-12 >= h2_threshold
+                // `c = |cur ∧ V_err|`: the one popcount every closed form
+                // below starts from.
+                let c = and_count(&cur, &err_words, ranges);
+                let qualifies = |complemented: usize| complemented >= h2_min;
+                let mut consider = |corr: Correction, complemented: usize| {
+                    if qualifies(complemented) {
+                        pass.push((corr, err_fraction(complemented)));
+                    }
                 };
-                // Non-wire candidates through the generic evaluator
-                // (borrowed rows into the worker's scratch; the fused
-                // masked popcount avoids a diff temporary — err_words is
-                // already tail-masked).
                 for corr in enumerate_corrections(netlist, line, config.model, &[]) {
                     delta.screened += 1;
-                    let Ok(Some(new_row)) =
-                        correction_output_row_into(netlist, vals, &corr, scratch)
-                    else {
-                        continue;
-                    };
-                    let complemented = match mask {
-                        Some(m) => {
-                            sparse_ops += 1;
-                            m.xor_count_ones(new_row, &cur)
+                    let complemented = match corr.action() {
+                        // A constant complements the `V_err` bits where the
+                        // line holds its opposite.
+                        CorrectionAction::SetConst(false) => c,
+                        CorrectionAction::SetConst(true) => n_err - c,
+                        _ => {
+                            let Ok(Some(new_row)) =
+                                correction_output_row_into(netlist, vals, &corr, scratch)
+                            else {
+                                continue;
+                            };
+                            match mask {
+                                Some(m) => m.xor_count_ones(new_row, &cur),
+                                None => xor_masked_count_ones(new_row, &cur, &err_words),
+                            }
                         }
-                        None => xor_masked_count_ones(new_row, &cur, &err_words),
                     };
-                    if qualifies(complemented) {
-                        pass.push((corr, complemented as f64 / n_err.max(1) as f64));
-                    }
+                    sparse_ops += 1;
+                    consider(corr, complemented);
                 }
                 // Wire candidates: exhaustive over every cycle-safe source,
-                // fused evaluation per gate family.
+                // each counted in closed form.
                 if config.model == CorrectionModel::DesignErrors {
-                    if let Some((family, identity, invert)) = wire_family(netlist.gate(line).kind())
+                    if let Some(wire) =
+                        WireMasks::new(netlist, vals, line, &cur, &err_words, ranges, n_err, c)
                     {
-                        let gate = netlist.gate(line);
-                        let kind = gate.kind();
-                        let fanins = gate.fanins().to_vec();
+                        let fanins = netlist.gate(line).fanins();
                         let cone = cone();
-                        // Words outside the occupied ranges keep the fold
-                        // identity — safe, because `combine` results are
-                        // only read under the error mask, which is zero
-                        // there.
-                        let fold = |skip: Option<usize>| -> Vec<u64> {
-                            let mut acc = vec![identity; wpr];
-                            for (p, &f) in fanins.iter().enumerate() {
-                                if Some(p) == skip {
-                                    continue;
-                                }
-                                let row = vals.row(f.index());
-                                for &(lo, hi) in ranges {
-                                    for (a, &r) in acc[lo..hi].iter_mut().zip(&row[lo..hi]) {
-                                        match family {
-                                            Family::And => *a &= r,
-                                            Family::Or => *a |= r,
-                                            Family::Xor => *a ^= r,
-                                        }
-                                    }
-                                }
-                            }
-                            acc
-                        };
-                        let core = fold(None);
-                        let base_wo: Vec<Vec<u64>> =
-                            (0..fanins.len()).map(|p| fold(Some(p))).collect();
-                        let combine = |base: &[u64], src: &[u64], w: usize| -> u64 {
-                            let v = match family {
-                                Family::And => base[w] & src[w],
-                                Family::Or => base[w] | src[w],
-                                Family::Xor => base[w] ^ src[w],
-                            };
-                            if invert {
-                                !v
-                            } else {
-                                v
-                            }
-                        };
-                        let can_add = matches!(
-                            kind,
-                            GateKind::And
-                                | GateKind::Nand
-                                | GateKind::Or
-                                | GateKind::Nor
-                                | GateKind::Xor
-                                | GateKind::Xnor
-                        );
                         // Eligible sources, optionally stride-sampled.
                         let mut eligible: Vec<GateId> = netlist
                             .ids()
@@ -649,97 +641,79 @@ impl<'a> CandidatePipeline<'a> {
                             let stride = eligible.len().div_ceil(config.wire_source_limit);
                             eligible = eligible.into_iter().step_by(stride).collect();
                         }
+                        // InsertGate over the basic 2-input kinds (restores a
+                        // dropped "simple gate" in one correction). The
+                        // inverting kinds complement almost every V_err bit and
+                        // so pass heuristic 2 for free, flooding the
+                        // heuristic-3 stage; they only join once the ladder has
+                        // relaxed h3 — the point where such repairs become
+                        // admissible at all.
+                        let insert_kinds: &[GateKind] = if level.h3 <= 0.85 {
+                            &[GateKind::And, GateKind::Or, GateKind::Nand, GateKind::Nor]
+                        } else {
+                            &[GateKind::And, GateKind::Or]
+                        };
                         for src in eligible {
                             let srow = vals.row(src.index());
-                            // AddInput.
-                            if can_add && !fanins.contains(&src) {
+                            let p_all = src_err[src.index()];
+                            // Bounds from `P` alone first: a source pays for
+                            // its `q` popcount only once some candidate's
+                            // bound reaches the threshold, and a port for
+                            // its `r_p` popcount only once its bound at the
+                            // exact `q` does.
+                            let (q_lo, q_hi) = wire.q_range(p_all);
+                            let (lo, hi) = (wire.counts(q_lo, p_all), wire.counts(q_hi, p_all));
+                            let most =
+                                |count: &dyn Fn(&SourceCounts) -> usize| count(&lo).max(count(&hi));
+                            let mut known = None;
+                            let mut exact =
+                                || *known.get_or_insert_with(|| wire.counts(wire.q(srow), p_all));
+                            if wire.can_add && !fanins.contains(&src) {
                                 delta.screened += 1;
                                 sparse_ops += 1;
-                                let mut complemented = 0usize;
-                                for &(lo, hi) in ranges {
-                                    for w in lo..hi {
-                                        let diff =
-                                            (combine(&core, srow, w) ^ cur[w]) & err_words[w];
-                                        complemented += diff.count_ones() as usize;
-                                    }
-                                }
-                                if qualifies(complemented) {
-                                    pass.push((
+                                if qualifies(most(&|s| wire.add_input(s))) {
+                                    consider(
                                         Correction::new(
                                             line,
                                             CorrectionAction::AddInput { source: src },
                                         ),
-                                        complemented as f64 / n_err.max(1) as f64,
-                                    ));
+                                        wire.add_input(&exact()),
+                                    );
                                 }
                             }
-                            // ReplaceInput on every port.
-                            for (p, &old) in fanins.iter().enumerate() {
+                            for (port, &old) in fanins.iter().enumerate() {
                                 if old == src {
                                     continue;
                                 }
                                 delta.screened += 1;
                                 sparse_ops += 1;
-                                let mut complemented = 0usize;
-                                for &(lo, hi) in ranges {
-                                    for w in lo..hi {
-                                        let diff =
-                                            (combine(&base_wo[p], srow, w) ^ cur[w]) & err_words[w];
-                                        complemented += diff.count_ones() as usize;
+                                if qualifies(most(&|s| wire.replace_bound(s, port))) {
+                                    let counts = exact();
+                                    if qualifies(wire.replace_bound(&counts, port)) {
+                                        consider(
+                                            Correction::new(
+                                                line,
+                                                CorrectionAction::ReplaceInput {
+                                                    port,
+                                                    source: src,
+                                                },
+                                            ),
+                                            wire.replace_input(&counts, srow, port),
+                                        );
                                     }
-                                }
-                                if qualifies(complemented) {
-                                    pass.push((
-                                        Correction::new(
-                                            line,
-                                            CorrectionAction::ReplaceInput {
-                                                port: p,
-                                                source: src,
-                                            },
-                                        ),
-                                        complemented as f64 / n_err.max(1) as f64,
-                                    ));
                                 }
                             }
-                            // InsertGate over the basic 2-input kinds (restores a
-                            // dropped "simple gate" in one correction). The
-                            // inverting kinds complement almost every V_err bit and
-                            // so pass heuristic 2 for free, flooding the expensive
-                            // heuristic-3 stage; they only join once the ladder has
-                            // relaxed h3 — the point where such repairs become
-                            // admissible at all.
-                            let insert_kinds: &[GateKind] = if level.h3 <= 0.85 {
-                                &[GateKind::And, GateKind::Or, GateKind::Nand, GateKind::Nor]
-                            } else {
-                                &[GateKind::And, GateKind::Or]
-                            };
-                            for &k2 in insert_kinds {
+                            for &kind in insert_kinds {
                                 delta.screened += 1;
                                 sparse_ops += 1;
-                                let mut complemented = 0usize;
-                                for &(lo, hi) in ranges {
-                                    for w in lo..hi {
-                                        let v = match k2 {
-                                            GateKind::And => cur[w] & srow[w],
-                                            GateKind::Or => cur[w] | srow[w],
-                                            GateKind::Nand => !(cur[w] & srow[w]),
-                                            _ => !(cur[w] | srow[w]),
-                                        };
-                                        let diff = (v ^ cur[w]) & err_words[w];
-                                        complemented += diff.count_ones() as usize;
-                                    }
-                                }
-                                if qualifies(complemented) {
-                                    pass.push((
+                                if qualifies(most(&|s| wire.insert_gate(s, kind))) {
+                                    consider(
                                         Correction::new(
                                             line,
-                                            CorrectionAction::InsertGate {
-                                                kind: k2,
-                                                other: src,
-                                            },
+                                            CorrectionAction::InsertGate { kind, other: src },
                                         ),
-                                        complemented as f64 / n_err.max(1) as f64,
-                                    ));
+                                        wire.insert_gate(&exact(), kind),
+                                    );
                                 }
                             }
                         }
@@ -760,16 +734,7 @@ impl<'a> CandidatePipeline<'a> {
                             &computed
                         }
                     };
-                    // Mismatches on POs outside the cone survive every
-                    // correction on this line.
-                    let mut outside = vec![0u64; wpr];
-                    for (po_idx, &po) in netlist.outputs().iter().enumerate() {
-                        if !cone.contains(po) {
-                            for (o, &m) in outside.iter_mut().zip(&mismatch[po_idx]) {
-                                *o |= m;
-                            }
-                        }
-                    }
+                    let flip = FlipMasks::new(netlist, mismatch, flips, cone, &err_words, tail);
                     for (corr, h2_fraction) in pass {
                         let Ok(Some(new_row)) =
                             correction_output_row_into(netlist, vals, &corr, scratch)
@@ -777,34 +742,17 @@ impl<'a> CandidatePipeline<'a> {
                             delta.rejected_h3 += 1;
                             continue;
                         };
-                        // The candidate's failing-vector row: PO `p` now
-                        // fails where `mismatch_p ^ ((new ^ cur) & S_p)`.
-                        let mut newly_err = 0usize;
-                        let mut fixed = 0usize;
-                        for w in 0..wpr {
-                            let d = new_row[w] ^ cur[w];
-                            let fail = flips
-                                .iter()
-                                .fold(outside[w], |f, (p, s)| f | (mismatch[*p][w] ^ (d & s[w])));
-                            let mut ne = fail & !err_words[w];
-                            let mut fx = err_words[w] & !fail;
-                            if w == wpr - 1 {
-                                ne &= tail;
-                                fx &= tail;
-                            }
-                            newly_err += ne.count_ones() as usize;
-                            fixed += fx.count_ones() as usize;
-                        }
                         // Both scores stay exact ratios of these counts:
                         // `RankedCorrection::repairs_every_vector` (below)
                         // closes last-slot leaves on them.
+                        let newly_err = flip.newly_err(new_row, &cur);
                         let h3_score = 1.0 - newly_err as f64 / n_corr.max(1) as f64;
                         if h3_score + 1e-12 < level.h3 {
                             delta.rejected_h3 += 1;
                             continue;
                         }
                         delta.qualified += 1;
-                        let corr_h1 = fixed as f64 / n_err.max(1) as f64;
+                        let corr_h1 = flip.fixed(new_row, &cur) as f64 / n_err.max(1) as f64;
                         line_ranked.push(RankedCorrection {
                             correction: corr,
                             rank: (1.0 - v_ratio) * h3_score + v_ratio * corr_h1,
@@ -865,16 +813,17 @@ impl RankedCorrection {
     }
 }
 
-/// Folded-evaluation family of a logic gate: its core word operation,
-/// the fold identity, and whether the result is complemented.
+/// Folded-evaluation family of a logic gate: its core word operation.
+#[derive(Clone, Copy)]
 enum Family {
     And,
     Or,
     Xor,
 }
 
-/// `None` for non-logic kinds (inputs, constants, state) — those lines
-/// take no wire corrections.
+/// `(family, fold identity, inverted)` of a logic gate; `None` for
+/// non-logic kinds (inputs, constants, state) — those lines take no wire
+/// corrections.
 fn wire_family(kind: GateKind) -> Option<(Family, u64, bool)> {
     match kind {
         GateKind::And => Some((Family::And, !0u64, false)),
@@ -886,6 +835,310 @@ fn wire_family(kind: GateKind) -> Option<(Family, u64, bool)> {
         GateKind::Xor => Some((Family::Xor, 0u64, false)),
         GateKind::Xnor => Some((Family::Xor, 0u64, true)),
         _ => None,
+    }
+}
+
+/// The least `x ≤ n` that `accept` holds for, or `n + 1` when it holds for
+/// none; `accept` must be monotone (once true, true for every larger `x`).
+fn least_accepted(n: usize, accept: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, n + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if accept(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// `Σ popcount(a ∧ m)` over the half-open word `ranges`.
+fn and_count(a: &[u64], m: &[u64], ranges: &[(usize, usize)]) -> usize {
+    ranges
+        .iter()
+        .map(|&(lo, hi)| {
+            a[lo..hi]
+                .iter()
+                .zip(&m[lo..hi])
+                .map(|(x, y)| (x & y).count_ones() as usize)
+                .sum::<usize>()
+        })
+        .sum()
+}
+
+/// One line's heuristic-2 masks for its wire candidates (AddInput,
+/// ReplaceInput, InsertGate), from which each candidate's `complemented`
+/// count `|(new ⊕ cur) ∧ V_err|` follows in closed form.
+///
+/// With `E = V_err`, `n = |E|` and `c = |cur ∧ E|`, a source `src` needs
+/// `q = |src ∧ cur ∧ E|` and `qn = |src ∧ ¬cur ∧ E| = P − q`, where
+/// `P = |src ∧ E|`. Non-inverting kinds (AND, OR, XOR, BUF) take `k = c`
+/// and `q_k = q`; inverting ones (NAND, NOR, XNOR, NOT) take `k = n − c`
+/// and `q_k = qn`. Port `p` carries `X_p`: `E ∧ b_p ∧ ¬f_p` for the AND
+/// family, `E ∧ ¬b_p ∧ f_p` for OR and `E ∧ f_p` for XOR, where `f_p` is
+/// the port's row and `b_p` the fold of the other fanins; `r_p =
+/// |src ∧ X_p|`. For the AND / OR / XOR family in that order:
+///
+/// - AddInput: `k − q_k` / `P − q_k` / `P`;
+/// - ReplaceInput on port `p`: `(k − q_k) + r_p` / `(P − q_k) + |X_p| −
+///   r_p` / `P + |X_p| − 2·r_p`;
+/// - InsertGate AND / OR / NAND / NOR: `c − q` / `qn` / `n − c + q` /
+///   `n − qn`.
+///
+/// Each follows from writing `new ⊕ cur` out per family (ReplaceInput on
+/// the AND family gives `b_p ∧ (src ⊕ f_p)`, for example) and needs only
+/// that `cur` is the gate's function of its fanins, which holds for every
+/// simulated value matrix. Every mask lies under `E`, so the popcounts
+/// walk only the sparse kernel's occupied `ranges`.
+///
+/// Screening also bounds each count before paying for its popcounts
+/// ([`WireMasks::replace_bound`], [`WireMasks::q_range`]): a candidate
+/// whose bound misses the heuristic-2 threshold is rejected uncounted,
+/// which is exact because the test is monotone in the count.
+struct WireMasks<'r> {
+    family: Family,
+    invert: bool,
+    /// AddInput applies (multi-input kinds only).
+    can_add: bool,
+    n: usize,
+    c: usize,
+    /// `cur ∧ E`.
+    cur_err: Vec<u64>,
+    /// `(X_p, |X_p|)` per fanin port.
+    ports: Vec<(Vec<u64>, usize)>,
+    ranges: &'r [(usize, usize)],
+}
+
+/// One source's counts against a [`WireMasks`] line: everything but the
+/// per-port `r_p`.
+#[derive(Clone, Copy)]
+struct SourceCounts {
+    q: usize,
+    qn: usize,
+    /// `k − q_k`.
+    k_rest: usize,
+    /// `P − q_k`.
+    p_rest: usize,
+}
+
+impl<'r> WireMasks<'r> {
+    /// The masks of `line` with row `cur`; `None` when the line's kind
+    /// takes no wire corrections.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        netlist: &Netlist,
+        vals: &PackedMatrix,
+        line: GateId,
+        cur: &[u64],
+        err: &[u64],
+        ranges: &'r [(usize, usize)],
+        n: usize,
+        c: usize,
+    ) -> Option<Self> {
+        let gate = netlist.gate(line);
+        let kind = gate.kind();
+        let (family, identity, invert) = wire_family(kind)?;
+        let fanins = gate.fanins();
+        let op = |a: u64, b: u64| match family {
+            Family::And => a & b,
+            Family::Or => a | b,
+            Family::Xor => a ^ b,
+        };
+        let wpr = cur.len();
+        let mut cur_err = vec![0u64; wpr];
+        for &(lo, hi) in ranges {
+            for w in lo..hi {
+                cur_err[w] = cur[w] & err[w];
+            }
+        }
+        debug_assert!(
+            ranges.iter().flat_map(|&(lo, hi)| lo..hi).all(|w| {
+                let core = fanins
+                    .iter()
+                    .fold(identity, |a, f| op(a, vals.row(f.index())[w]));
+                let out = if invert { !core } else { core };
+                (out ^ cur[w]) & err[w] == 0
+            }),
+            "{line}: the value matrix disagrees with the gate's function"
+        );
+        let ports = (0..fanins.len())
+            .map(|p| {
+                let mut x = vec![0u64; wpr];
+                for &(lo, hi) in ranges {
+                    for w in lo..hi {
+                        let b = fanins
+                            .iter()
+                            .enumerate()
+                            .filter(|&(i, _)| i != p)
+                            .fold(identity, |a, (_, f)| op(a, vals.row(f.index())[w]));
+                        let f = vals.row(fanins[p].index())[w];
+                        x[w] = err[w]
+                            & match family {
+                                Family::And => b & !f,
+                                Family::Or => !b & f,
+                                Family::Xor => f,
+                            };
+                    }
+                }
+                let count = and_count(&x, err, ranges);
+                (x, count)
+            })
+            .collect();
+        Some(WireMasks {
+            family,
+            invert,
+            can_add: matches!(
+                kind,
+                GateKind::And
+                    | GateKind::Nand
+                    | GateKind::Or
+                    | GateKind::Nor
+                    | GateKind::Xor
+                    | GateKind::Xnor
+            ),
+            n,
+            c,
+            cur_err,
+            ports,
+            ranges,
+        })
+    }
+
+    /// `q = |src ∧ cur ∧ E|` of source row `src`.
+    fn q(&self, src: &[u64]) -> usize {
+        and_count(src, &self.cur_err, self.ranges)
+    }
+
+    /// The range `q` can take for a source with `p_all = |src ∧ E|`: at
+    /// most `c` of its `V_err` bits lie under `cur`, and at most `n − c`
+    /// outside it. Every count is monotone in `q` (and so is
+    /// [`WireMasks::replace_bound`]), so the larger of its values at the
+    /// two ends bounds it before `q` is counted.
+    fn q_range(&self, p_all: usize) -> (usize, usize) {
+        (p_all.saturating_sub(self.n - self.c), p_all.min(self.c))
+    }
+
+    /// The counts of a source with `q` and `p_all = |src ∧ E|`, for `q` in
+    /// [`WireMasks::q_range`].
+    fn counts(&self, q: usize, p_all: usize) -> SourceCounts {
+        let qn = p_all - q;
+        let (k, q_k) = if self.invert {
+            (self.n - self.c, qn)
+        } else {
+            (self.c, q)
+        };
+        SourceCounts {
+            q,
+            qn,
+            k_rest: k - q_k,
+            p_rest: p_all - q_k,
+        }
+    }
+
+    /// AddInput's count.
+    fn add_input(&self, s: &SourceCounts) -> usize {
+        match self.family {
+            Family::And => s.k_rest,
+            Family::Or => s.p_rest,
+            Family::Xor => s.q + s.qn,
+        }
+    }
+
+    /// An upper bound on ReplaceInput's count on fanin `port` that needs
+    /// no `r_p`. With `core` the un-inverted fold of every fanin, `X_p`
+    /// lies in `E ∧ ¬core` for the AND family, so `r_p ≤ P − q_k`; it
+    /// lies in `E ∧ core` for OR, so `|X_p| − r_p ≤ k − q_k`; and for XOR
+    /// `r_p ≥ P + |X_p| − n`.
+    fn replace_bound(&self, s: &SourceCounts, port: usize) -> usize {
+        let x_count = self.ports[port].1;
+        match self.family {
+            Family::And => s.k_rest + x_count.min(s.p_rest),
+            Family::Or => s.p_rest + x_count.min(s.k_rest),
+            Family::Xor => {
+                let sum = s.q + s.qn + x_count;
+                sum.min(2 * self.n - sum)
+            }
+        }
+    }
+
+    /// ReplaceInput's count for source row `src` on fanin `port`.
+    fn replace_input(&self, s: &SourceCounts, src: &[u64], port: usize) -> usize {
+        let (x, x_count) = &self.ports[port];
+        let r = and_count(src, x, self.ranges);
+        match self.family {
+            Family::And => s.k_rest + r,
+            Family::Or => s.p_rest + x_count - r,
+            Family::Xor => s.q + s.qn + x_count - 2 * r,
+        }
+    }
+
+    /// InsertGate's count for the inserted `kind` (AND, OR, NAND or NOR).
+    fn insert_gate(&self, s: &SourceCounts, kind: GateKind) -> usize {
+        match kind {
+            GateKind::And => self.c - s.q,
+            GateKind::Or => s.qn,
+            GateKind::Nand => self.n - self.c + s.q,
+            // NOR
+            _ => self.n - s.qn,
+        }
+    }
+}
+
+/// One line's heuristic-3 masks. `F = outside ∨ ⋁_{p in cone}(mismatch_p
+/// ⊕ S_p)` is the failing-vector row when the line's value flips, where
+/// `outside` holds the mismatches on POs outside the line's cone. A
+/// candidate leaves every vector on which it keeps the line's value as it
+/// was, and makes a vector on which it flips the line fail exactly where
+/// `F` says; so with `d = new ⊕ cur` it fixes `|d ∧ fix|` failing vectors
+/// and breaks `|d ∧ brk|` passing ones.
+struct FlipMasks {
+    /// `V_err ∧ ¬F`.
+    fix: Vec<u64>,
+    /// `F ∧ ¬V_err`, tail-masked.
+    brk: Vec<u64>,
+}
+
+impl FlipMasks {
+    fn new(
+        netlist: &Netlist,
+        mismatch: &[Vec<u64>],
+        flips: &Sensitivity,
+        cone: &ConeSet,
+        err: &[u64],
+        tail: u64,
+    ) -> Self {
+        let mut fail = vec![0u64; err.len()];
+        for (po_idx, &po) in netlist.outputs().iter().enumerate() {
+            if !cone.contains(po) {
+                for (f, &m) in fail.iter_mut().zip(&mismatch[po_idx]) {
+                    *f |= m;
+                }
+            }
+        }
+        for (po_idx, s) in flips {
+            for ((f, &m), &s) in fail.iter_mut().zip(&mismatch[*po_idx]).zip(s) {
+                *f |= m ^ s;
+            }
+        }
+        let fix = err.iter().zip(&fail).map(|(&e, &f)| e & !f).collect();
+        let mut brk: Vec<u64> = err.iter().zip(&fail).map(|(&e, &f)| f & !e).collect();
+        if let Some(last) = brk.last_mut() {
+            *last &= tail;
+        }
+        FlipMasks { fix, brk }
+    }
+
+    /// Failing vectors fixed by a candidate with output row `new_row` on
+    /// a line whose row is `cur`.
+    fn fixed(&self, new_row: &[u64], cur: &[u64]) -> usize {
+        xor_masked_count_ones(new_row, cur, &self.fix)
+    }
+
+    /// Passing vectors broken by a candidate with output row `new_row` on
+    /// a line whose row is `cur`.
+    fn newly_err(&self, new_row: &[u64], cur: &[u64]) -> usize {
+        xor_masked_count_ones(new_row, cur, &self.brk)
     }
 }
 
@@ -970,6 +1223,7 @@ mod tests {
     use super::*;
     use incdx_fault::StuckAt;
     use incdx_gen::{random_dag, RandomDagConfig};
+    use incdx_sim::BLOCK_WORDS;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1054,8 +1308,124 @@ mod tests {
         );
     }
 
+    #[test]
+    fn least_accepted_finds_the_first_passing_count() {
+        for n in 0..40usize {
+            for threshold in [0.0, 0.1, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.5] {
+                let accept = |x: usize| x as f64 / n.max(1) as f64 + 1e-12 >= threshold;
+                let scan = (0..=n).find(|&x| accept(x)).unwrap_or(n + 1);
+                assert_eq!(
+                    least_accepted(n, accept),
+                    scan,
+                    "n {n} threshold {threshold}"
+                );
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every wire candidate's closed-form heuristic-2 count equals the
+        /// masked popcount of its evaluated row, for any error mask, over
+        /// the dense range and over a sparse mask's occupied ranges; and
+        /// every bound screening rejects on lies at or above that count.
+        #[test]
+        fn wire_counts_match_evaluated_rows(
+            seed in 0u64..1_000_000,
+            pick in 0usize..1000,
+            vectors in prop::sample::select(vec![1usize, 63, 100, 200, 700]),
+            sparsity in 0usize..4,
+        ) {
+            let dag = RandomDagConfig {
+                inputs: 6,
+                gates: 40,
+                outputs: 5,
+                max_fanin: 3,
+                xor_fraction: 0.2,
+                window: 16,
+            };
+            let netlist = random_dag(&dag, seed);
+            let line = GateId::from_index(pick % netlist.len());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pi = PackedMatrix::random(netlist.inputs().len(), vectors, &mut rng);
+            let vals = Simulator::new().run(&netlist, &pi);
+            // An error mask of density 2^-(sparsity + 1), with the second
+            // sparse block cleared so that the occupied ranges skip it.
+            let draws = PackedMatrix::random(sparsity + 1, vectors, &mut rng);
+            let mut err = draws.to_bits(0);
+            for r in 1..=sparsity {
+                for (e, &d) in err.words_mut().iter_mut().zip(draws.row(r)) {
+                    *e &= d;
+                }
+            }
+            for w in err.words_mut().iter_mut().skip(BLOCK_WORDS).take(BLOCK_WORDS) {
+                *w = 0;
+            }
+            err.mask_tail();
+            let err_words = err.words();
+            let n = err.count_ones();
+            let sparse = SparseMask::from_bits(&err);
+            let wpr = vals.words_per_row();
+            let cur = vals.row(line.index());
+            let fanins = netlist.gate(line).fanins();
+            let mut scratch = CorrectionScratch::default();
+            for ranges in [vec![(0, wpr)], sparse.occupied_ranges()] {
+                let c = and_count(cur, err_words, &ranges);
+                let Some(wire) =
+                    WireMasks::new(&netlist, &vals, line, cur, err_words, &ranges, n, c)
+                else {
+                    return Ok(());
+                };
+                let mut check = |corr: Correction, closed: usize, bound: usize| {
+                    let row = correction_output_row_into(&netlist, &vals, &corr, &mut scratch)
+                        .expect("full-width matrix")
+                        .expect("a wire candidate has a row");
+                    let evaluated = xor_masked_count_ones(row, cur, err_words);
+                    assert_eq!(closed, evaluated, "{corr}");
+                    assert!(bound >= evaluated, "{corr}: bound {bound} < {evaluated}");
+                };
+                for src in netlist.ids().filter(|&s| s != line) {
+                    let srow = vals.row(src.index());
+                    let p_all = and_count(srow, err_words, &ranges);
+                    let q = wire.q(srow);
+                    let (q_lo, q_hi) = wire.q_range(p_all);
+                    prop_assert!(q_lo <= q && q <= q_hi);
+                    let exact = wire.counts(q, p_all);
+                    let (lo, hi) = (wire.counts(q_lo, p_all), wire.counts(q_hi, p_all));
+                    if wire.can_add && !fanins.contains(&src) {
+                        check(
+                            Correction::new(line, CorrectionAction::AddInput { source: src }),
+                            wire.add_input(&exact),
+                            wire.add_input(&lo).max(wire.add_input(&hi)),
+                        );
+                    }
+                    for (port, &old) in fanins.iter().enumerate() {
+                        if old == src {
+                            continue;
+                        }
+                        let corr = Correction::new(
+                            line,
+                            CorrectionAction::ReplaceInput { port, source: src },
+                        );
+                        let closed = wire.replace_input(&exact, srow, port);
+                        check(corr, closed, wire.replace_bound(&exact, port));
+                        check(
+                            corr,
+                            closed,
+                            wire.replace_bound(&lo, port).max(wire.replace_bound(&hi, port)),
+                        );
+                    }
+                    for kind in [GateKind::And, GateKind::Or, GateKind::Nand, GateKind::Nor] {
+                        check(
+                            Correction::new(line, CorrectionAction::InsertGate { kind, other: src }),
+                            wire.insert_gate(&exact, kind),
+                            wire.insert_gate(&lo, kind).max(wire.insert_gate(&hi, kind)),
+                        );
+                    }
+                }
+            }
+        }
 
         /// The identity heuristics 1 and 3 rest on: for every correction
         /// on a line, under both models and with wire sources outside the

@@ -6,9 +6,16 @@
 //! what the corrected gate would output on *every* vector without touching
 //! the netlist — the cheap test that, per the paper, "disqualifies the
 //! majority of inappropriate corrections". It evaluates over borrowed row
-//! slices into a caller-owned [`CorrectionScratch`], so the screening hot
-//! loop allocates nothing per candidate; [`correction_output_row`] is the
+//! slices into a caller-owned [`CorrectionScratch`], so screening
+//! allocates nothing per candidate; [`correction_output_row`] is the
 //! allocating convenience wrapper.
+//!
+//! Screening calls it in two places: heuristic 2 for the design-error
+//! candidates without a closed-form count (kind changes, inverted, removed
+//! or wired-through inputs — stuck-at constants and wire candidates are
+//! counted from per-line masks in `pipeline.rs`), and heuristic 3 for the
+//! row of every heuristic-2 survivor. It is also the reference the
+//! closed forms are tested against.
 
 use incdx_fault::{Correction, CorrectionAction};
 use incdx_netlist::{GateId, GateKind, Netlist};

@@ -299,9 +299,10 @@ pub struct RectifyStats {
     /// Time ranking suspect lines with heuristic 1 (the flip-and-propagate
     /// pass; the other component of `diagnosis_time`).
     pub rank_time: Duration,
-    /// Time in the screening stage proper — heuristic-2 enumeration plus
-    /// heuristic-3 cone propagation (`correction_time` minus final
-    /// sorting/truncation).
+    /// Time in the screening stage proper — heuristic-2 counts over every
+    /// candidate, the sensitivity passes of lines heuristic 1 did not
+    /// score, and the heuristic-3 counts of the survivors
+    /// (`correction_time` minus final sorting/truncation).
     pub screen_time: Duration,
     /// Total time evaluating decision-tree nodes (simulate + diagnose +
     /// screen; the sum over all nodes).
@@ -340,7 +341,10 @@ pub struct RectifyStats {
     /// over cone propagation and screening popcounts
     /// ([`RectifyConfig::sparse`]; 0 when sparse mode is off).
     pub blocks_skipped: u64,
-    /// Rows/operations the sparse kernel evaluated block-restricted.
+    /// Rows the sparse kernel evaluated block-restricted: rows of sparse
+    /// cone propagation, plus one per screened candidate that has an
+    /// output row while the node's failing-vector mask skips at least one
+    /// block (its heuristic-2 count walks only the occupied blocks).
     pub sparse_rows: u64,
     /// Operations where sparse mode was on but the dense path ran anyway
     /// (rows narrower than one block, or a mask with nothing to skip).
@@ -473,7 +477,8 @@ pub struct RectifyResult {
     /// matched the reference.
     pub solutions: Vec<Solution>,
     /// Typed outcome of the run. Precedence when several apply:
-    /// cancelled > deadline > budget > partial > degraded > exact.
+    /// cancelled > deadline > budget > partial > truncated > degraded >
+    /// exact.
     pub verdict: Verdict,
     /// Best still-open correction tuples when the run stopped early (or
     /// was truncated without finding a solution), ranked ascending by
@@ -935,6 +940,7 @@ impl Rectifier {
             None if self.stats.truncated && solutions.is_empty() => Verdict::Partial {
                 best_remaining_failures: partials.first().map_or(0, |p| p.remaining_failures),
             },
+            None if self.stats.truncated && self.config.exhaustive => Verdict::Truncated,
             None if !self.stats.degradations.is_empty() => Verdict::Degraded,
             None => Verdict::Exact,
         };
@@ -1288,6 +1294,7 @@ impl Rectifier {
             None if solutions.is_empty() && self.stats.truncated => Verdict::Partial {
                 best_remaining_failures: partials.first().map_or(0, |p| p.remaining_failures),
             },
+            None if self.stats.truncated && self.config.exhaustive => Verdict::Truncated,
             None if !self.stats.degradations.is_empty() => Verdict::Degraded,
             None => Verdict::Exact,
         };

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use incdx_core::{
     correction_output_row, default_ladder, path_trace_counts, path_trace_counts_batched,
-    EvalContext, Evaluator, Incremental, PreparedNode, Rectifier, RectifyConfig, SimCounters,
-    TraversalKind,
+    EvalContext, Evaluator, Incremental, ParamLevel, PreparedNode, Rectifier, RectifyConfig,
+    SimCounters, TraversalKind,
 };
 use incdx_fault::{
     enumerate_corrections, inject_design_errors, Correction, CorrectionModel, InjectionConfig,
@@ -15,7 +15,7 @@ use incdx_fault::{
 };
 use incdx_gen::{random_dag, RandomDagConfig};
 use incdx_netlist::{GateId, Netlist};
-use incdx_sim::{PackedMatrix, Response, Simulator};
+use incdx_sim::{PackedMatrix, Response, Simulator, BLOCK_WORDS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -605,21 +605,32 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `RankedCorrection::repairs_every_vector` is exact. On random
-    /// circuits with one injected stuck-at fault or design error, every
-    /// root candidate of `stuck_at_exhaustive(1)` and of `dedc(1)` at
-    /// every ladder level — each one a last-slot child — is replayed
-    /// from scratch. For every candidate that applies, the scores and
-    /// the replay agree; one that does not apply cannot replay as a
-    /// solution. So a candidate whose scores say it leaves a failing
-    /// vector never is one, which is what lets the engine close those
-    /// leaves without preparing them.
+    /// `RankedCorrection::repairs_every_vector` is exact, and so is every
+    /// screening score. On random circuits with one injected stuck-at
+    /// fault or design error, every root candidate of
+    /// `stuck_at_exhaustive(1)` and of `dedc(1)` — each one a last-slot
+    /// child — is replayed from scratch at every ladder level and at a
+    /// permissive level that lets heuristics 2 and 3 reject nothing. For
+    /// every candidate that applies, the scores and the replay agree; one
+    /// that does not apply cannot replay as a solution. So a candidate
+    /// whose scores say it leaves a failing vector never is one, which is
+    /// what lets the engine close those leaves without preparing them.
+    ///
+    /// The scores are checked as the exact ratios of their counts:
+    /// `h1 = fixed / |V_err|` and `h3 = 1 − newly_err / |V_corr|` from the
+    /// replay's failing row, and `h2 = |(row ⊕ cur) ∧ V_err| / |V_err|`
+    /// with `row` from `correction_output_row`. Vector counts include
+    /// non-multiples of 64, and runs above one sparse block hold an
+    /// all-zero input block, which the sparse kernel skips whenever that
+    /// vector passes.
     #[test]
     fn repairs_every_vector_matches_a_from_scratch_replay(
         seed in 0u64..200,
         pick in 0usize..1000,
         design in prop::bool::ANY,
         v in prop::bool::ANY,
+        vectors in prop::sample::select(vec![100usize, 128, 200, 700]),
+        sparse in prop::bool::ANY,
     ) {
         let golden = dag(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1EAF);
@@ -645,28 +656,75 @@ proptest! {
             }
             (golden, device)
         };
-        let pi = PackedMatrix::random(netlist.inputs().len(), 128, &mut rng);
+        let mut pi = PackedMatrix::random(netlist.inputs().len(), vectors, &mut rng);
+        if pi.words_per_row() > BLOCK_WORDS {
+            for row in 0..pi.rows() {
+                pi.row_mut(row)[BLOCK_WORDS..2 * BLOCK_WORDS].fill(0);
+            }
+        }
         let mut sim = Simulator::new();
         let spec = Response::capture(
             &reference,
             &sim.run_for_inputs(&reference, netlist.inputs(), &pi),
         );
-        if Response::compare(&netlist, &sim.run(&netlist, &pi), &spec).matches() {
+        let vals = sim.run(&netlist, &pi);
+        let before = Response::compare(&netlist, &vals, &spec);
+        if before.matches() {
             return Ok(()); // not excited
         }
-        for config in [RectifyConfig::stuck_at_exhaustive(1), RectifyConfig::dedc(1)] {
-            let ladder = config.ladder.clone();
+        let err = before.failing_vectors();
+        let n_err = err.count_ones();
+        let n_corr = vectors - n_err;
+        let permissive = ParamLevel::new(0.0, 0.0, 0.0)
+            .and_then(|l| l.with_promote(1.0))
+            .expect("valid level");
+        for mut config in [RectifyConfig::stuck_at_exhaustive(1), RectifyConfig::dedc(1)] {
+            config.sparse = sparse;
+            config.max_candidates_per_node = usize::MAX;
+            let mut levels = config.ladder.clone();
+            levels.push(permissive);
             let mut rect = Rectifier::new(netlist.clone(), pi.clone(), spec.clone(), config)
                 .expect("well-formed inputs");
-            for level in &ladder {
+            for level in &levels {
                 for rc in rect.rank_candidates(&[], level) {
+                    let corr = &rc.correction;
+                    let row = correction_output_row(&netlist, &vals, corr)
+                        .expect("full-width matrix")
+                        .expect("a screened candidate has an output row");
+                    let cur = vals.to_bits(corr.line().index());
+                    let complemented: usize = row
+                        .words()
+                        .iter()
+                        .zip(cur.words())
+                        .zip(err.words())
+                        .map(|((r, c), e)| ((r ^ c) & e).count_ones() as usize)
+                        .sum();
+                    prop_assert_eq!(
+                        rc.h2_fraction,
+                        complemented as f64 / n_err as f64,
+                        "h2 of {}",
+                        corr
+                    );
                     let mut fixed = netlist.clone();
-                    if rc.correction.apply(&mut fixed).is_err() {
+                    if corr.apply(&mut fixed).is_err() {
                         continue;
                     }
-                    let vals = sim.run_for_inputs(&fixed, netlist.inputs(), &pi);
-                    let solves = Response::compare(&fixed, &vals, &spec).matches();
-                    prop_assert_eq!(rc.repairs_every_vector(), solves, "{}", rc.correction);
+                    let after = Response::compare(
+                        &fixed,
+                        &sim.run_for_inputs(&fixed, netlist.inputs(), &pi),
+                        &spec,
+                    );
+                    prop_assert_eq!(rc.repairs_every_vector(), after.matches(), "{}", corr);
+                    let after = after.failing_vectors();
+                    let repaired = err.count_ones() - err.and_count_ones(after);
+                    let broken = after.count_ones() - after.and_count_ones(err);
+                    prop_assert_eq!(rc.h1_score, repaired as f64 / n_err as f64, "h1 of {}", corr);
+                    prop_assert_eq!(
+                        rc.h3_score,
+                        1.0 - broken as f64 / n_corr.max(1) as f64,
+                        "h3 of {}",
+                        corr
+                    );
                 }
             }
         }

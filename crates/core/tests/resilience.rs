@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use incdx_core::{
     ChaosConfig, Checkpoint, DegradationKind, PartialSolution, Rectifier, RectifyConfig,
-    RectifyLimits, Verdict,
+    RectifyLimits, RectifyResult, Verdict,
 };
 use incdx_fault::StuckAt;
 use incdx_gen::{random_dag, RandomDagConfig};
@@ -139,6 +139,74 @@ fn deadline_stops_with_checkpoint_and_resume_matches_unlimited() {
         .expect("checkpoint accepted");
     assert_eq!(resumed.solutions, unlimited.solutions);
     assert_eq!(resumed.verdict, unlimited.verdict);
+}
+
+/// Runs `stuck_at_exhaustive(2)` with the tree cap `max_nodes`, flat or
+/// hierarchical.
+fn capped_exhaustive(
+    golden: &Netlist,
+    pi: &PackedMatrix,
+    device: &Response,
+    max_nodes: usize,
+    hierarchical: bool,
+) -> RectifyResult {
+    let mut config = RectifyConfig::stuck_at_exhaustive(2);
+    config.max_nodes = max_nodes;
+    config.hierarchical = hierarchical;
+    Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
+        .expect("well-formed inputs")
+        .run()
+}
+
+/// The tree cap (`max_nodes`) that stops an exhaustive enumeration after
+/// it has found solutions yields [`Verdict::Truncated`], not `Exact`:
+/// each reported solution replays, but the set may be incomplete. A cap
+/// stop captures no checkpoint. Uncapped, the same run is `Exact` and
+/// finds every solution the capped one reported.
+#[test]
+fn capped_exhaustive_run_with_solutions_is_truncated() {
+    let golden = dag(5, 40);
+    let (pi, device) =
+        stuck_at_workload(&golden, &[(9, true), (23, false)], 128, 5).expect("excited faults");
+    let run = |max_nodes: usize| capped_exhaustive(&golden, &pi, &device, max_nodes, false);
+    let uncapped_nodes = RectifyConfig::stuck_at_exhaustive(2).max_nodes;
+    let uncapped = run(uncapped_nodes);
+    assert!(!uncapped.stats.truncated);
+    assert_eq!(uncapped.verdict, Verdict::Exact);
+    // Two tree nodes: the root and one depth-1 node expand, so only
+    // part of the solution set is reached.
+    let capped = run(2);
+    assert!(capped.stats.truncated);
+    assert!(
+        !capped.solutions.is_empty(),
+        "the cap lands after the first solutions"
+    );
+    assert_eq!(capped.verdict, Verdict::Truncated);
+    assert_eq!(capped.verdict.tag(), "truncated");
+    assert!(capped.checkpoint.is_none());
+    assert!(capped.solutions.len() < uncapped.solutions.len());
+    for solution in &capped.solutions {
+        assert!(uncapped.solutions.contains(solution), "{solution:?}");
+    }
+
+    // The hierarchical verdict site, on a circuit large enough for the
+    // abstraction to engage.
+    let golden = dag(3, 120);
+    let (pi, device) =
+        stuck_at_workload(&golden, &[(9, true), (23, false)], 128, 5).expect("excited faults");
+    let uncapped = capped_exhaustive(&golden, &pi, &device, uncapped_nodes, true);
+    assert!(
+        uncapped.stats.abstraction.is_some(),
+        "the abstraction engaged"
+    );
+    assert_eq!(uncapped.verdict, Verdict::Exact);
+    let capped = capped_exhaustive(&golden, &pi, &device, 2, true);
+    assert!(
+        capped.stats.abstraction.is_some(),
+        "the abstraction engaged"
+    );
+    assert!(capped.stats.truncated && !capped.solutions.is_empty());
+    assert_eq!(capped.verdict, Verdict::Truncated);
 }
 
 /// A total-node budget stops the search with [`Verdict::BudgetExhausted`]

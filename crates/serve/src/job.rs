@@ -342,9 +342,9 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// without spooling whole correction tuples.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct JobOutcome {
-    /// Stable verdict tag (`exact`, `partial`, `budget-exhausted`,
-    /// `deadline-exceeded`, `cancelled`, `degraded`, or the serve-only
-    /// `no-failing` / `error`).
+    /// Stable verdict tag (`exact`, `partial`, `truncated`,
+    /// `budget-exhausted`, `deadline-exceeded`, `cancelled`, `degraded`, or
+    /// the serve-only `no-failing` / `error`).
     pub verdict: String,
     /// Solutions reported.
     pub solutions: usize,

@@ -5,7 +5,15 @@
 use incdx::prelude::*;
 use rand::rngs::StdRng;
 
-fn run_dedc(circuit: &str, errors: usize, seed: u64, vectors: usize) -> bool {
+/// A DEDC problem: `errors` observable design errors injected into a
+/// suite circuit, random vectors, and the specification's responses.
+/// Returns `(corrupted design, vectors, specification responses)`.
+fn dedc_case(
+    circuit: &str,
+    errors: usize,
+    seed: u64,
+    vectors: usize,
+) -> (Netlist, PackedMatrix, Response) {
     let golden = generate(circuit).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let injection = inject_design_errors(
@@ -23,8 +31,13 @@ fn run_dedc(circuit: &str, errors: usize, seed: u64, vectors: usize) -> bool {
     let pi = PackedMatrix::random(golden.inputs().len(), vectors, &mut vec_rng);
     let mut sim = Simulator::new();
     let spec = Response::capture(&golden, &sim.run(&golden, &pi));
+    (injection.corrupted, pi, spec)
+}
+
+fn run_dedc(circuit: &str, errors: usize, seed: u64, vectors: usize) -> bool {
+    let (corrupted, pi, spec) = dedc_case(circuit, errors, seed, vectors);
     let result = Rectifier::new(
-        injection.corrupted.clone(),
+        corrupted.clone(),
         pi.clone(),
         spec.clone(),
         RectifyConfig::dedc(errors),
@@ -35,17 +48,87 @@ fn run_dedc(circuit: &str, errors: usize, seed: u64, vectors: usize) -> bool {
         return false;
     };
     assert!(solution.corrections.len() <= errors);
-    let mut fixed = injection.corrupted.clone();
+    let mut fixed = corrupted.clone();
     for c in &solution.corrections {
         c.apply(&mut fixed).expect("solution applies");
     }
     let check = Response::compare(
         &fixed,
-        &sim.run_for_inputs(&fixed, golden.inputs(), &pi),
+        &Simulator::new().run_for_inputs(&fixed, corrupted.inputs(), &pi),
         &spec,
     );
     assert!(check.matches(), "claimed solution must verify");
     true
+}
+
+/// One k = 3 DEDC run under a 16-node budget at 1024 vectors (16-word
+/// rows), summarised as its search and screening counters, verdict and
+/// solutions.
+fn dedc_budgeted_summary(circuit: &str, seed: u64) -> String {
+    let (corrupted, pi, spec) = dedc_case(circuit, 3, seed, 1024);
+    let mut config = RectifyConfig::dedc(3);
+    config.limits.max_total_nodes = Some(16);
+    let result = Rectifier::new(corrupted, pi, spec, config).unwrap().run();
+    let s = &result.stats;
+    let solutions: Vec<String> = result
+        .solutions
+        .iter()
+        .map(|sol| {
+            let corrections: Vec<String> = sol.corrections.iter().map(|c| c.to_string()).collect();
+            format!("[{}]", corrections.join("; "))
+        })
+        .collect();
+    format!(
+        "nodes={} rounds={} screened={} qualified={} rejected_h2={} rejected_h3={} \
+         lines_rejected_h1={} candidates_truncated={} verdict={} solutions={}",
+        s.nodes,
+        s.rounds,
+        s.corrections_screened,
+        s.corrections_qualified,
+        s.corrections_rejected_h2,
+        s.corrections_rejected_h3,
+        s.lines_rejected_h1,
+        s.candidates_truncated,
+        result.verdict.tag(),
+        solutions.join(" ")
+    )
+}
+
+/// Screening on real gate mixes and 16-word rows decides every
+/// counter, verdict and solution of these runs, so a change to how
+/// candidates are scored must leave them all as recorded here.
+#[test]
+fn budgeted_triple_error_counters_are_pinned() {
+    let cases = [
+        (
+            "c432a",
+            1,
+            "nodes=10 rounds=3 screened=59621 qualified=2988 rejected_h2=54498 \
+             rejected_h3=2135 lines_rejected_h1=145 candidates_truncated=2654 verdict=exact \
+             solutions=[n112 := AND; n75: add input n97; n62: remove input port 2]",
+        ),
+        (
+            "c880a",
+            1,
+            "nodes=16 rounds=12 screened=4754 qualified=149 rejected_h2=4345 \
+             rejected_h3=260 lines_rejected_h1=266 candidates_truncated=98 \
+             verdict=budget-exhausted solutions=",
+        ),
+        (
+            "c3540a",
+            3,
+            "nodes=9 rounds=3 screened=66232 qualified=103 rejected_h2=62608 \
+             rejected_h3=3521 lines_rejected_h1=79 candidates_truncated=0 verdict=exact \
+             solutions=[n68: insert OR with n330; n140 := XOR; n193: insert OR with n34]",
+        ),
+    ];
+    for (circuit, seed, expected) in cases {
+        assert_eq!(
+            dedc_budgeted_summary(circuit, seed),
+            expected,
+            "{circuit} seed {seed}"
+        );
+    }
 }
 
 #[test]
