@@ -119,7 +119,9 @@ pub fn path_trace_counts(
 /// inverters, buffers and XOR-family gates propagate the gate's mask to
 /// every fanin. One reverse-topological pass reaches the fixpoint because
 /// marks only ever flow to topologically earlier gates, so each gate's
-/// mask is final when the pass reaches it.
+/// mask is final when the pass reaches it. Every rule is word-local and
+/// the seeds are confined to the traced vectors, so the masks keep only
+/// the words that hold a traced vector: the other words would stay zero.
 ///
 /// Returns the per-line counts — **bit-identical** to
 /// [`path_trace_counts`], which stays as the reference (property-tested
@@ -132,34 +134,40 @@ pub fn path_trace_counts_batched(
     vector_cap: usize,
 ) -> Vec<u32> {
     let n = netlist.len();
-    let wpr = vals.words_per_row();
-    // Mask of the traced failing vectors: the first `vector_cap` failing
-    // vectors ascending, matching the scalar loop's `iter_ones().take()`.
-    let mut traced = vec![0u64; wpr];
+    // The traced failing vectors — the first `vector_cap` failing vectors
+    // ascending, matching the scalar loop's `iter_ones().take()` — as
+    // (word, bits) pairs over only the words that hold one. Mask word `w`
+    // of a gate stands for value word `traced[w].0`.
+    let mut traced: Vec<(usize, u64)> = Vec::new();
     for v in response.failing_vectors().iter_ones().take(vector_cap) {
-        traced[v / 64] |= 1u64 << (v % 64);
+        let (w, bit) = (v / 64, 1u64 << (v % 64));
+        match traced.last_mut() {
+            Some((last, bits)) if *last == w => *bits |= bit,
+            _ => traced.push((w, bit)),
+        }
     }
-    let mut mark = vec![0u64; n * wpr];
+    let width = traced.len();
+    let mut mark = vec![0u64; n * width];
     // Seed every PO with its erroneous traced bits.
     for (po_idx, &po) in netlist.outputs().iter().enumerate() {
         let got = response.po_values().row(po_idx);
         let want = spec.po_values().row(po_idx);
-        let row = &mut mark[po.index() * wpr..(po.index() + 1) * wpr];
-        for w in 0..wpr {
-            row[w] |= (got[w] ^ want[w]) & traced[w];
+        let row = &mut mark[po.index() * width..(po.index() + 1) * width];
+        for (m, &(w, bits)) in row.iter_mut().zip(&traced) {
+            *m |= (got[w] ^ want[w]) & bits;
         }
     }
-    let mut scratch = vec![0u64; wpr];
+    let mut scratch = vec![0u64; width];
     for &g in netlist.topo_order().iter().rev() {
-        let gi = g.index() * wpr;
-        if mark[gi..gi + wpr].iter().all(|&w| w == 0) {
+        let gi = g.index() * width;
+        if mark[gi..gi + width].iter().all(|&w| w == 0) {
             continue;
         }
         let gate = netlist.gate(g);
         match gate.kind() {
             GateKind::Not | GateKind::Buf | GateKind::Dff => {
-                let f = gate.fanins()[0].index() * wpr;
-                for w in 0..wpr {
+                let f = gate.fanins()[0].index() * width;
+                for w in 0..width {
                     mark[f + w] |= mark[gi + w];
                 }
             }
@@ -167,11 +175,11 @@ pub fn path_trace_counts_batched(
                 // `c` is Some for the whole and/or family; the scalar
                 // fallback (trace everything) is kept for parity.
                 let fanin_ctrl = |f: GateId, c: bool, w: usize| {
-                    let row = vals.row(f.index());
+                    let v = vals.row(f.index())[traced[w].0];
                     if c {
-                        row[w]
+                        v
                     } else {
-                        !row[w]
+                        !v
                     }
                 };
                 match gate.kind().controlling_value() {
@@ -185,16 +193,16 @@ pub fn path_trace_counts_batched(
                             }
                         }
                         for &f in gate.fanins() {
-                            let fi = f.index() * wpr;
-                            for w in 0..wpr {
+                            let fi = f.index() * width;
+                            for w in 0..width {
                                 mark[fi + w] |= mark[gi + w] & (fanin_ctrl(f, c, w) | !scratch[w]);
                             }
                         }
                     }
                     None => {
                         for &f in gate.fanins() {
-                            let fi = f.index() * wpr;
-                            for w in 0..wpr {
+                            let fi = f.index() * width;
+                            for w in 0..width {
                                 mark[fi + w] |= mark[gi + w];
                             }
                         }
@@ -203,8 +211,8 @@ pub fn path_trace_counts_batched(
             }
             GateKind::Xor | GateKind::Xnor => {
                 for &f in gate.fanins() {
-                    let fi = f.index() * wpr;
-                    for w in 0..wpr {
+                    let fi = f.index() * width;
+                    for w in 0..width {
                         mark[fi + w] |= mark[gi + w];
                     }
                 }
@@ -214,7 +222,7 @@ pub fn path_trace_counts_batched(
     }
     (0..n)
         .map(|l| {
-            mark[l * wpr..(l + 1) * wpr]
+            mark[l * width..(l + 1) * width]
                 .iter()
                 .map(|w| w.count_ones())
                 .sum()
@@ -315,18 +323,46 @@ mod tests {
     fn batched_counts_are_bit_identical_to_scalar_counts() {
         // The multi-observation batch pass must be an exact re-expression
         // of the per-vector DFS — same counts for every line, every cap.
+        let check =
+            |label: &str, n: &Netlist, vals: &PackedMatrix, resp: &Response, spec: &Response| {
+                for cap in [1usize, 3, 32, usize::MAX] {
+                    let scalar = path_trace_counts(n, vals, resp, spec, cap);
+                    let batched = path_trace_counts_batched(n, vals, resp, spec, cap);
+                    assert_eq!(scalar, batched, "{label} cap {cap}");
+                }
+            };
         for (circuit, seed) in [("c432a", 1u64), ("c880a", 2)] {
             let golden = generate(circuit).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let inj = inject_design_errors(&golden, &InjectionConfig::default(), &mut rng).unwrap();
             let (_pi, spec, resp, vals) = setup(&golden, &inj.corrupted, 256, seed + 7);
             assert!(resp.num_failing() > 0);
-            for cap in [1usize, 3, 32, usize::MAX] {
-                let scalar = path_trace_counts(&inj.corrupted, &vals, &resp, &spec, cap);
-                let batched = path_trace_counts_batched(&inj.corrupted, &vals, &resp, &spec, cap);
-                assert_eq!(scalar, batched, "{circuit} cap {cap}");
+            check(circuit, &inj.corrupted, &vals, &resp, &spec);
+        }
+        // 1000 vectors: 15 full words and a 40-vector tail word. Every
+        // vector outside words 2 and 15 repeats a passing vector, so the
+        // failing vectors occupy a strict subset of the words, the partial
+        // tail word included, and the batched pass keeps marks on only
+        // those words.
+        let golden = generate("c432a").unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let inj = inject_design_errors(&golden, &InjectionConfig::default(), &mut rng).unwrap();
+        let (mut pi, _, resp, _) = setup(&golden, &inj.corrupted, 1000, 10);
+        let pass = (0..1000).find(|&v| !resp.failing_vectors().get(v)).unwrap();
+        let column = pi.column(pass);
+        for v in (0..1000).filter(|v| !matches!(v / 64, 2 | 15)) {
+            for (r, &bit) in column.iter().enumerate() {
+                pi.set(r, v, bit);
             }
         }
+        let mut sim = Simulator::new();
+        let spec = Response::capture(&golden, &sim.run(&golden, &pi));
+        let vals = sim.run_for_inputs(&inj.corrupted, golden.inputs(), &pi);
+        let resp = Response::compare(&inj.corrupted, &vals, &spec);
+        let mut words: Vec<usize> = resp.failing_vectors().iter_ones().map(|v| v / 64).collect();
+        words.dedup();
+        assert_eq!(words, [2, 15]);
+        check("c432a/1000", &inj.corrupted, &vals, &resp, &spec);
     }
 
     #[test]

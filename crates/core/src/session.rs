@@ -633,10 +633,7 @@ impl Rectifier {
         // Pre-flight lint: refuse structurally hazardous netlists (cycles,
         // undriven wires, bad arities) up front instead of producing
         // undefined simulation results deep inside the search.
-        let lint_errors: Vec<incdx_lint::Diagnostic> = incdx_lint::lint_netlist(&netlist)
-            .into_iter()
-            .filter(|d| d.severity == incdx_lint::Severity::Error)
-            .collect();
+        let lint_errors = incdx_lint::lint_errors(&netlist);
         if !lint_errors.is_empty() {
             return Err(IncdxError::Lint(lint_errors));
         }

@@ -36,6 +36,10 @@ impl Lint for DegenerateAbstraction {
         "abstraction with no leverage: hierarchical diagnosis would fall back to flat search"
     }
 
+    fn max_severity(&self) -> Severity {
+        Severity::Info
+    }
+
     fn check(&self, netlist: &Netlist, out: &mut Vec<Diagnostic>) {
         let logic = netlist.iter().filter(|(_, g)| g.kind().is_logic()).count();
         if logic < MIN_LOGIC_GATES {

@@ -73,6 +73,10 @@ impl Lint for ShadowedName {
         "wire name shadows a synthetic name or collides case-insensitively"
     }
 
+    fn max_severity(&self) -> Severity {
+        Severity::Warning
+    }
+
     fn check(&self, netlist: &Netlist, out: &mut Vec<Diagnostic>) {
         let n = netlist.len();
         let mut first_by_folded: HashMap<String, usize> = HashMap::new();

@@ -29,6 +29,10 @@ impl Lint for UnobservableLine {
         "line reaches outputs but constant side-inputs block every path"
     }
 
+    fn max_severity(&self) -> Severity {
+        Severity::Info
+    }
+
     fn check(&self, netlist: &Netlist, out: &mut Vec<Diagnostic>) {
         // Cyclic structures are NL001's finding; the fixed-point facts
         // below are only meaningful on a DAG.

@@ -26,6 +26,10 @@ impl Lint for DeadCone {
         "gate unreachable from every primary output"
     }
 
+    fn max_severity(&self) -> Severity {
+        Severity::Warning
+    }
+
     fn check(&self, netlist: &Netlist, out: &mut Vec<Diagnostic>) {
         let n = netlist.len();
         if n == 0 {

@@ -36,6 +36,10 @@ impl Lint for RedundantGate {
         "gate provably equivalent to (the complement of) one fanin"
     }
 
+    fn max_severity(&self) -> Severity {
+        Severity::Info
+    }
+
     fn check(&self, netlist: &Netlist, out: &mut Vec<Diagnostic>) {
         if !netlist.is_acyclic() {
             return;

@@ -32,6 +32,10 @@ impl Lint for ScanChain {
         "full-scan consistency: constant flip-flop loads, unobservable state"
     }
 
+    fn max_severity(&self) -> Severity {
+        Severity::Warning
+    }
+
     fn check(&self, netlist: &Netlist, out: &mut Vec<Diagnostic>) {
         let dffs = netlist.dffs();
         if dffs.is_empty() {

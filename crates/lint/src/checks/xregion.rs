@@ -29,6 +29,10 @@ impl Lint for ConstantRegion {
         "logic that is constant under 3-valued propagation (not X-capable)"
     }
 
+    fn max_severity(&self) -> Severity {
+        Severity::Info
+    }
+
     fn check(&self, netlist: &Netlist, out: &mut Vec<Diagnostic>) {
         let values = propagate_x(netlist);
         for (id, gate) in netlist.iter() {

@@ -1,10 +1,11 @@
 //! The lint driver: the [`Lint`] trait, the registry of built-in
-//! analyses, and [`lint_netlist`], the one-call entry point.
+//! analyses, [`lint_netlist`], the one-call entry point, and
+//! [`lint_errors`], the pre-flight subset that can block a run.
 
 use incdx_netlist::Netlist;
 
 use crate::checks;
-use crate::diagnostic::{Diagnostic, LintCode};
+use crate::diagnostic::{Diagnostic, LintCode, Severity};
 
 /// One static analysis over a netlist.
 ///
@@ -18,6 +19,12 @@ pub trait Lint {
 
     /// One-line description of what the analysis looks for.
     fn description(&self) -> &'static str;
+
+    /// The most severe level this lint ever reports. [`lint_errors`]
+    /// skips every lint whose maximum is below [`Severity::Error`].
+    fn max_severity(&self) -> Severity {
+        Severity::Error
+    }
 
     /// Runs the analysis, appending findings to `out`.
     fn check(&self, netlist: &Netlist, out: &mut Vec<Diagnostic>);
@@ -44,13 +51,31 @@ pub fn registry() -> Vec<Box<dyn Lint>> {
 /// Runs every registered lint over `netlist` and returns the findings
 /// sorted most-severe first (ties broken by code, then anchor gate id).
 pub fn lint_netlist(netlist: &Netlist) -> Vec<Diagnostic> {
+    run(netlist, registry())
+}
+
+/// The [`Severity::Error`] findings of [`lint_netlist`], in its order,
+/// from only the lints that can report an error — the rectifier's
+/// pre-flight, which the advisory analyses never block.
+pub fn lint_errors(netlist: &Netlist) -> Vec<Diagnostic> {
+    let lints = registry()
+        .into_iter()
+        .filter(|l| l.max_severity() == Severity::Error);
+    let mut out = run(netlist, lints);
+    out.retain(|d| d.severity == Severity::Error);
+    out
+}
+
+fn run(netlist: &Netlist, lints: impl IntoIterator<Item = Box<dyn Lint>>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for lint in registry() {
+    for lint in lints {
         let before = out.len();
         lint.check(netlist, &mut out);
         debug_assert!(
-            out[before..].iter().all(|d| d.code == lint.code()),
-            "lint {} emitted a foreign code",
+            out[before..]
+                .iter()
+                .all(|d| d.code == lint.code() && d.severity <= lint.max_severity()),
+            "lint {} emitted a foreign code or exceeded its severity",
             lint.code()
         );
     }

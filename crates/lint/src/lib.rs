@@ -8,7 +8,8 @@
 //!   arity violations, constant (non-X-capable) regions, and full-scan
 //!   consistency. Each finding is a [`Diagnostic`] with a stable `NLxxx`
 //!   code, a severity, a circuit location, and a fix hint; the rectifier's
-//!   pre-flight rejects any netlist carrying a [`Severity::Error`] finding.
+//!   pre-flight ([`lint_errors`], which runs only the lints that can report
+//!   an error) rejects any netlist carrying a [`Severity::Error`] finding.
 //! * **Source audits** — the [`panic_audit`] scanner that keeps panicking
 //!   constructs out of first-party non-test code, backing both the
 //!   `panic_audit` binary `scripts/verify.sh` runs and an in-tree test.
@@ -40,5 +41,5 @@ pub mod panic_audit;
 
 pub use checks::xregion::propagate_x;
 pub use diagnostic::{Diagnostic, LintCode, Severity, ALL_CODES};
-pub use engine::{lint_netlist, registry, Lint};
+pub use engine::{lint_errors, lint_netlist, registry, Lint};
 pub use ext::LintExt;

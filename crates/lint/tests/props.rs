@@ -2,7 +2,7 @@
 //! lints clean, and every class of injected structural mutation maps to
 //! its expected lint code.
 
-use incdx_lint::{Diagnostic, LintCode, LintExt, Severity};
+use incdx_lint::{lint_errors, Diagnostic, LintCode, LintExt, Severity};
 use incdx_netlist::{Gate, GateId, GateKind, Netlist};
 use proptest::prelude::*;
 
@@ -16,14 +16,26 @@ fn assert_clean(name: &str, diags: &[Diagnostic]) {
     assert!(bad.is_empty(), "{name} should lint clean, got {bad:?}");
 }
 
+/// The full run's error findings, in its order: what the pre-flight
+/// entry [`lint_errors`] must return, so `IncdxError::Lint` carries the
+/// same payload whichever entry produced it.
+fn errors_of(n: &Netlist) -> Vec<Diagnostic> {
+    n.lint()
+        .into_iter()
+        .filter(|d| d.severity == Severity::Error)
+        .collect()
+}
+
 #[test]
 fn every_suite_circuit_lints_clean() {
     for spec in incdx_gen::SUITE {
         let n = incdx_gen::generate(spec.name).expect("suite circuit generates");
         assert_clean(spec.name, &n.lint());
+        assert_eq!(lint_errors(&n), errors_of(&n), "{}", spec.name);
         if !n.is_combinational() {
             let (core, _) = incdx_netlist::scan_convert(&n).expect("suite scan-converts");
             assert_clean(&format!("{}/scan-core", spec.name), &core.lint());
+            assert_eq!(lint_errors(&core), errors_of(&core), "{}", spec.name);
         }
     }
 }
@@ -66,6 +78,7 @@ proptest! {
         gates[v] = Gate::new(gates[v].kind(), fanins);
         let n = Netlist::from_parts_unchecked(gates, names, outputs);
         prop_assert!(codes(&n).contains(&LintCode::UndrivenWire));
+        prop_assert_eq!(lint_errors(&n), errors_of(&n));
     }
 
     /// Adding a back-edge (a fanin pointing into the gate's own fanout
@@ -103,6 +116,7 @@ proptest! {
         let n = Netlist::from_parts_unchecked(gates, names, outputs);
         prop_assert!(!n.is_acyclic());
         prop_assert!(codes(&n).contains(&LintCode::CombinationalCycle));
+        prop_assert_eq!(lint_errors(&n), errors_of(&n));
     }
 
     /// Widening a fixed-arity gate (NOT/BUF with an extra fanin)
@@ -129,6 +143,7 @@ proptest! {
         gates[v] = Gate::new(gates[v].kind(), fanins);
         let n = Netlist::from_parts_unchecked(gates, names, outputs);
         prop_assert!(codes(&n).contains(&LintCode::ArityViolation));
+        prop_assert_eq!(lint_errors(&n), errors_of(&n));
     }
 
     /// Duplicating a wire name triggers `NL003`.
@@ -148,6 +163,7 @@ proptest! {
         names[b] = names[a].clone();
         let n = Netlist::from_parts_unchecked(gates, names, outputs);
         prop_assert!(codes(&n).contains(&LintCode::MultiDrivenWire));
+        prop_assert_eq!(lint_errors(&n), errors_of(&n));
     }
 
     /// Emptying the output list triggers `NL005` at error severity.
@@ -161,6 +177,7 @@ proptest! {
         prop_assert!(diags
             .iter()
             .any(|d| d.code == LintCode::FloatingOutput && d.severity == Severity::Error));
+        prop_assert_eq!(lint_errors(&n), errors_of(&n));
     }
 
     /// Disconnecting a primary output (the only reader of its cone tip)

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a gate and, equivalently, of the *line* (net) it drives.
 ///
@@ -211,17 +212,24 @@ impl fmt::Display for GateKind {
 }
 
 /// One gate of a [`crate::Netlist`]: a kind plus the ids of its fanin lines.
+///
+/// The fanin list is shared, never edited in place: cloning a gate (and so
+/// a netlist) bumps a reference count instead of copying the list, and an
+/// edit swaps in a new list for the one gate it rewrites.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Gate {
     kind: GateKind,
-    fanins: Vec<GateId>,
+    fanins: Arc<[GateId]>,
 }
 
 impl Gate {
     /// Creates a gate. Arity is validated by [`crate::NetlistBuilder::build`],
     /// not here, so intermediate states are representable.
     pub fn new(kind: GateKind, fanins: Vec<GateId>) -> Self {
-        Gate { kind, fanins }
+        Gate {
+            kind,
+            fanins: fanins.into(),
+        }
     }
 
     /// The gate's kind.
@@ -240,8 +248,8 @@ impl Gate {
         self.kind = kind;
     }
 
-    pub(crate) fn fanins_mut(&mut self) -> &mut Vec<GateId> {
-        &mut self.fanins
+    pub(crate) fn set_fanins(&mut self, fanins: Vec<GateId>) {
+        self.fanins = fanins.into();
     }
 }
 

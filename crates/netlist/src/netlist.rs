@@ -1,4 +1,30 @@
+//! The [`Netlist`] type and its builder.
+//!
+//! A netlist is cloned once per decision-tree node and edited by one
+//! correction, so its storage makes both cheap without changing a single
+//! answer to a structural query:
+//!
+//! * **Fanins** are one `Arc<[GateId]>` per gate. A clone shares every
+//!   list; [`Netlist::replace_gate`] swaps in a new list for the one gate
+//!   it rewrites.
+//! * **Fanouts** are one flat id array with per-line start offsets
+//!   (compressed sparse row), refilled by a counting sort on every edit.
+//!   Each line's readers come out in ascending id order.
+//! * **Names** are one table behind an `Arc`, shared by clones and copied
+//!   only by [`Netlist::set_name`]. Ids past its end read as unnamed, so
+//!   [`Netlist::append_gate`] leaves it alone.
+//! * **Topological order and levels** are recomputed by a full Kahn pass
+//!   on every edit, seeded with the zero in-degree gates in id order. The
+//!   order therefore depends only on the structure, never on the edits
+//!   that produced it: callers that walk [`Netlist::topo_order`] while
+//!   editing (the area optimiser does) see the same order as on a netlist
+//!   built from scratch, and so do the engine's counters and solutions.
+//!
+//! A clone therefore copies a few flat arrays and bumps one reference
+//! count per gate; neither a clone nor an edit allocates per gate.
+
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::bitset::DenseBitSet;
 use crate::error::NetlistError;
@@ -38,11 +64,15 @@ use crate::gate::{Gate, GateId, GateKind};
 #[derive(Debug, Clone)]
 pub struct Netlist {
     gates: Vec<Gate>,
-    names: Vec<Option<String>>,
+    // Shared by clones and copied on `set_name`; ids past its end are
+    // unnamed, so `append_gate` leaves it alone.
+    names: Arc<Vec<Option<String>>>,
     inputs: Vec<GateId>,
     outputs: Vec<GateId>,
-    // Caches, rebuilt by `rebuild`.
-    fanouts: Vec<Vec<GateId>>,
+    // Caches, rebuilt by `rebuild`. The readers of line `i` are
+    // `fanout_ids[fanout_start[i]..fanout_start[i + 1]]`, in id order.
+    fanout_start: Vec<u32>,
+    fanout_ids: Vec<GateId>,
     topo: Vec<GateId>,
     topo_pos: Vec<u32>,
     levels: Vec<u32>,
@@ -106,7 +136,8 @@ impl Netlist {
     /// The gates reading line `id` directly.
     #[inline]
     pub fn fanouts(&self, id: GateId) -> &[GateId] {
-        &self.fanouts[id.index()]
+        let i = id.index();
+        &self.fanout_ids[self.fanout_start[i] as usize..self.fanout_start[i + 1] as usize]
     }
 
     /// A topological order of the gates over combinational edges. DFF
@@ -136,7 +167,7 @@ impl Netlist {
 
     /// The declared name of a line, if any.
     pub fn name(&self, id: GateId) -> Option<&str> {
-        self.names[id.index()].as_deref()
+        self.names.get(id.index())?.as_deref()
     }
 
     /// Finds a line by declared name (linear scan; intended for tests and
@@ -277,7 +308,7 @@ impl Netlist {
         }
         let g = &mut self.gates[id.index()];
         g.set_kind(kind);
-        *g.fanins_mut() = fanins;
+        g.set_fanins(fanins);
         self.rebuild();
         Ok(())
     }
@@ -307,10 +338,6 @@ impl Netlist {
             }
         }
         self.gates.push(Gate::new(kind, fanins));
-        self.names.push(None);
-        if kind == GateKind::Input {
-            self.inputs.push(id);
-        }
         self.rebuild();
         Ok(id)
     }
@@ -341,9 +368,10 @@ impl Netlist {
         // one per additional fanout branch (a stem with k>1 readers has k
         // branch lines).
         let branch_lines: usize = self
-            .fanouts
-            .iter()
-            .map(|f| if f.len() > 1 { f.len() } else { 0 })
+            .fanout_start
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .filter(|&k| k > 1)
             .sum();
         NetlistStats {
             gates: self.gates.len(),
@@ -362,10 +390,21 @@ impl Netlist {
     ///
     /// Panics if `id` is out of range.
     pub fn set_name(&mut self, id: GateId, name: Option<String>) {
-        self.names[id.index()] = name;
+        assert!(id.index() < self.len(), "set_name: {id} out of range");
+        let names = Arc::make_mut(&mut self.names);
+        if id.index() >= names.len() {
+            names.resize(self.gates.len(), None);
+        }
+        names[id.index()] = name;
     }
 
-    /// Rebuilds fanouts, topological order and levels.
+    /// Rebuilds inputs, fanouts, topological order and levels, reusing
+    /// the existing buffers.
+    ///
+    /// Fanouts are filled by a counting sort over the fanin lists, so each
+    /// line's readers come out in ascending id order. The topological order
+    /// is a fresh Kahn pass seeded with the zero in-degree gates in id
+    /// order, so it depends only on the structure (see the module doc).
     ///
     /// The validating construction paths (builder validation /
     /// `replace_gate` cone check) guarantee an acyclic combinational part,
@@ -375,75 +414,106 @@ impl Netlist {
     /// both (out-of-range edges are ignored, cyclic gates are appended to
     /// the topological order in id order) so the lint layer can inspect
     /// the structure instead of the constructor crashing.
-    fn rebuild(&mut self) {
-        let n = self.gates.len();
-        self.inputs = self
-            .gates
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.kind() == GateKind::Input)
-            .map(|(i, _)| GateId::from_index(i))
-            .collect();
-        self.fanouts = vec![Vec::new(); n];
-        for (i, g) in self.gates.iter().enumerate() {
+    ///
+    /// Returns how many gates the Kahn pass ordered: all of them unless
+    /// the structure is cyclic.
+    fn rebuild(&mut self) -> usize {
+        let Netlist {
+            gates,
+            inputs,
+            fanout_start,
+            fanout_ids,
+            topo,
+            topo_pos,
+            levels,
+            acyclic,
+            ..
+        } = self;
+        let n = gates.len();
+        inputs.clear();
+        inputs.extend(
+            gates
+                .iter()
+                .enumerate()
+                .filter(|(_, g)| g.kind() == GateKind::Input)
+                .map(|(i, _)| GateId::from_index(i)),
+        );
+        // Counting sort: count each line's readers into the slot after it,
+        // prefix-sum to start offsets, scatter readers while advancing each
+        // line's start to its end, then shift the offsets back by one.
+        fanout_start.clear();
+        fanout_start.resize(n + 1, 0);
+        for g in gates.iter() {
             for &f in g.fanins() {
                 if f.index() < n {
-                    self.fanouts[f.index()].push(GateId::from_index(i));
+                    fanout_start[f.index() + 1] += 1;
                 }
             }
         }
-        // Kahn over combinational edges: a DFF ignores its fanin edge.
-        let mut indeg: Vec<u32> = self
-            .gates
-            .iter()
-            .map(|g| {
-                if g.kind() == GateKind::Dff {
-                    0
-                } else {
-                    g.fanins().iter().filter(|f| f.index() < n).count() as u32
+        for i in 0..n {
+            fanout_start[i + 1] += fanout_start[i];
+        }
+        fanout_ids.clear();
+        fanout_ids.resize(fanout_start[n] as usize, GateId(0));
+        for (i, g) in gates.iter().enumerate() {
+            for &f in g.fanins() {
+                if f.index() < n {
+                    let slot = &mut fanout_start[f.index()];
+                    fanout_ids[*slot as usize] = GateId::from_index(i);
+                    *slot += 1;
                 }
-            })
-            .collect();
-        let mut queue: Vec<GateId> = (0..n)
-            .filter(|&i| indeg[i] == 0)
-            .map(GateId::from_index)
-            .collect();
-        self.topo = Vec::with_capacity(n);
-        self.levels = vec![0; n];
+            }
+        }
+        fanout_start.copy_within(0..n, 1);
+        fanout_start[0] = 0;
+        // Kahn over combinational edges: a DFF ignores its fanin edge.
+        // `topo` doubles as the queue (gates leave it in the order they
+        // enter), and `topo_pos` holds the in-degrees until the end.
+        let indeg = topo_pos;
+        indeg.clear();
+        indeg.extend(gates.iter().map(|g| {
+            if g.kind() == GateKind::Dff {
+                0
+            } else {
+                g.fanins().iter().filter(|f| f.index() < n).count() as u32
+            }
+        }));
+        topo.clear();
+        topo.extend((0..n).filter(|&i| indeg[i] == 0).map(GateId::from_index));
+        levels.clear();
+        levels.resize(n, 0);
         let mut head = 0;
-        while head < queue.len() {
-            let g = queue[head];
+        while head < topo.len() {
+            let g = topo[head].index();
             head += 1;
-            self.topo.push(g);
-            for &f in &self.fanouts[g.index()] {
-                if self.gates[f.index()].kind() == GateKind::Dff {
+            let lvl = levels[g] + 1;
+            for &f in &fanout_ids[fanout_start[g] as usize..fanout_start[g + 1] as usize] {
+                let f = f.index();
+                if gates[f].kind() == GateKind::Dff {
                     continue;
                 }
-                let lvl = self.levels[g.index()] + 1;
-                if lvl > self.levels[f.index()] {
-                    self.levels[f.index()] = lvl;
+                if lvl > levels[f] {
+                    levels[f] = lvl;
                 }
-                indeg[f.index()] -= 1;
-                if indeg[f.index()] == 0 {
-                    queue.push(f);
+                indeg[f] -= 1;
+                if indeg[f] == 0 {
+                    topo.push(GateId::from_index(f));
                 }
             }
         }
-        self.acyclic = self.topo.len() == n;
-        if !self.acyclic {
+        let ordered = topo.len();
+        *acyclic = ordered == n;
+        if !*acyclic {
             // Cyclic leftovers: append in id order so every gate has a
             // topo position (required by the structural queries the lint
             // analyses run); the order is only partial on the cycles.
-            for (i, &d) in indeg.iter().enumerate() {
-                if d > 0 {
-                    self.topo.push(GateId::from_index(i));
-                }
-            }
+            topo.extend((0..n).filter(|&i| indeg[i] > 0).map(GateId::from_index));
         }
-        self.topo_pos = vec![0; n];
-        for (pos, &g) in self.topo.iter().enumerate() {
-            self.topo_pos[g.index()] = pos as u32;
+        let topo_pos = indeg;
+        for (pos, &g) in topo.iter().enumerate() {
+            topo_pos[g.index()] = pos as u32;
         }
+        ordered
     }
 
     pub(crate) fn from_parts(
@@ -474,27 +544,15 @@ impl Netlist {
         if let Some(&bad) = outputs.iter().find(|o| o.index() >= n) {
             return Err(NetlistError::DanglingOutput { gate: bad });
         }
-        let inputs = gates
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.kind() == GateKind::Input)
-            .map(|(i, _)| GateId::from_index(i))
-            .collect();
-        let mut nl = Netlist {
-            gates,
-            names,
-            inputs,
-            outputs,
-            fanouts: Vec::new(),
-            topo: Vec::new(),
-            topo_pos: Vec::new(),
-            levels: Vec::new(),
-            acyclic: true,
-        };
-        // Cycle check first so callers get a located error; `rebuild`
-        // would otherwise silently mark the netlist cyclic.
-        nl.check_acyclic()?;
-        nl.rebuild();
+        let mut nl = Netlist::unbuilt(gates, names, outputs);
+        let ordered = nl.rebuild();
+        if ordered < n {
+            // The gates left on or behind a cycle follow the ordered ones
+            // in id order: report the lowest of them.
+            return Err(NetlistError::CombinationalCycle {
+                gate: nl.topo[ordered],
+            });
+        }
         Ok(nl)
     }
 
@@ -513,68 +571,29 @@ impl Netlist {
     /// sound.
     pub fn from_parts_unchecked(
         gates: Vec<Gate>,
-        mut names: Vec<Option<String>>,
+        names: Vec<Option<String>>,
         outputs: Vec<GateId>,
     ) -> Self {
-        names.resize(gates.len(), None);
-        let mut nl = Netlist {
-            gates,
-            names,
-            inputs: Vec::new(),
-            outputs,
-            fanouts: Vec::new(),
-            topo: Vec::new(),
-            topo_pos: Vec::new(),
-            levels: Vec::new(),
-            acyclic: true,
-        };
+        let mut nl = Netlist::unbuilt(gates, names, outputs);
         nl.rebuild();
         nl
     }
 
-    fn check_acyclic(&self) -> Result<(), NetlistError> {
-        let n = self.gates.len();
-        let mut indeg: Vec<u32> = self
-            .gates
-            .iter()
-            .map(|g| {
-                if g.kind() == GateKind::Dff {
-                    0
-                } else {
-                    g.fanins().len() as u32
-                }
-            })
-            .collect();
-        let mut fanouts: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, g) in self.gates.iter().enumerate() {
-            if g.kind() == GateKind::Dff {
-                continue;
-            }
-            for &f in g.fanins() {
-                fanouts[f.index()].push(i as u32);
-            }
+    /// The parts with empty structural caches, for `rebuild` to fill.
+    fn unbuilt(gates: Vec<Gate>, mut names: Vec<Option<String>>, outputs: Vec<GateId>) -> Self {
+        names.resize(gates.len(), None);
+        Netlist {
+            gates,
+            names: Arc::new(names),
+            inputs: Vec::new(),
+            outputs,
+            fanout_start: Vec::new(),
+            fanout_ids: Vec::new(),
+            topo: Vec::new(),
+            topo_pos: Vec::new(),
+            levels: Vec::new(),
+            acyclic: true,
         }
-        let mut queue: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
-        let mut seen = 0usize;
-        let mut head = 0;
-        while head < queue.len() {
-            let g = queue[head] as usize;
-            head += 1;
-            seen += 1;
-            for &f in &fanouts[g] {
-                indeg[f as usize] -= 1;
-                if indeg[f as usize] == 0 {
-                    queue.push(f);
-                }
-            }
-        }
-        if seen != n {
-            let cyclic = (0..n).find(|&i| indeg[i] > 0).unwrap_or(0);
-            return Err(NetlistError::CombinationalCycle {
-                gate: GateId::from_index(cyclic),
-            });
-        }
-        Ok(())
     }
 }
 

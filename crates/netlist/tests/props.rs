@@ -2,8 +2,8 @@
 //! by a self-contained random circuit strategy.
 
 use incdx_netlist::{
-    expand_xor_to_nand, parse_bench, write_bench, Abstraction, DenseBitSet, GateId, GateKind,
-    Netlist,
+    expand_xor_to_nand, parse_bench, write_bench, Abstraction, DenseBitSet, Gate, GateId, GateKind,
+    Netlist, NetlistError,
 };
 use proptest::prelude::*;
 
@@ -45,6 +45,50 @@ fn arb_netlist() -> impl Strategy<Value = Netlist> {
         })
     })
 }
+
+/// Every structural answer a netlist gives, for comparing two netlists
+/// (or one netlist before and after) query by query.
+#[derive(Debug, PartialEq)]
+struct Answers {
+    gates: Vec<Gate>,
+    names: Vec<Option<String>>,
+    inputs: Vec<GateId>,
+    outputs: Vec<GateId>,
+    fanouts: Vec<Vec<GateId>>,
+    topo: Vec<GateId>,
+    topo_pos: Vec<usize>,
+    levels: Vec<u32>,
+    acyclic: bool,
+}
+
+fn answers(n: &Netlist) -> Answers {
+    Answers {
+        gates: n.ids().map(|id| n.gate(id).clone()).collect(),
+        names: n.ids().map(|id| n.name(id).map(str::to_string)).collect(),
+        inputs: n.inputs().to_vec(),
+        outputs: n.outputs().to_vec(),
+        fanouts: n.ids().map(|id| n.fanouts(id).to_vec()).collect(),
+        topo: n.topo_order().to_vec(),
+        topo_pos: n.ids().map(|id| n.topo_position(id)).collect(),
+        levels: n.ids().map(|id| n.level(id)).collect(),
+        acyclic: n.is_acyclic(),
+    }
+}
+
+/// Kinds an edit may write (no DFFs: the random netlists have none).
+const EDIT_KINDS: [GateKind; 11] = [
+    GateKind::And,
+    GateKind::Nand,
+    GateKind::Or,
+    GateKind::Nor,
+    GateKind::Xor,
+    GateKind::Xnor,
+    GateKind::Not,
+    GateKind::Buf,
+    GateKind::Const0,
+    GateKind::Const1,
+    GateKind::Input,
+];
 
 fn eval_scalar(n: &Netlist, inputs: &[bool]) -> Vec<bool> {
     let mut vals = vec![false; n.len()];
@@ -150,25 +194,87 @@ proptest! {
         }
     }
 
+    /// Random `replace_gate`, `append_gate` and `set_name` sequences on a
+    /// clone. A rejected edit changes nothing; `replace_gate` reports a
+    /// cycle exactly when a new fanin lies in the gate's fanout cone;
+    /// after every edit the clone answers like a netlist rebuilt from its
+    /// parts; and the source, which shares storage with the clone, answers
+    /// as before.
     #[test]
-    fn replace_gate_never_corrupts_on_error(n in arb_netlist(), target in 0usize..60, source in 0usize..60) {
+    fn replace_gate_never_corrupts_on_error(
+        n in arb_netlist(),
+        edits in prop::collection::vec(
+            (0usize..4, 0usize..1000, 0usize..EDIT_KINDS.len(), prop::collection::vec(0usize..1000, 1..4)),
+            1..12,
+        ),
+    ) {
+        let source = answers(&n);
         let mut m = n.clone();
-        let t = GateId::from_index(target % n.len());
-        let s = GateId::from_index(source % n.len());
-        let kind = m.gate(t).kind();
-        let mut fanins = m.gate(t).fanins().to_vec();
-        fanins.push(s);
-        // May succeed or fail (cycle/arity); on failure nothing changes.
-        if m.replace_gate(t, kind, fanins).is_err() {
-            prop_assert_eq!(m.len(), n.len());
-            for id in n.ids() {
-                prop_assert_eq!(m.gate(id).kind(), n.gate(id).kind());
-                prop_assert_eq!(m.gate(id).fanins(), n.gate(id).fanins());
+        for (step, (op, target, kind, picks)) in edits.into_iter().enumerate() {
+            let len = m.len();
+            let before = answers(&m);
+            let t = GateId::from_index(target % len);
+            let kind = EDIT_KINDS[kind];
+            let nf = match kind {
+                GateKind::Not | GateKind::Buf => 1,
+                GateKind::Xor | GateKind::Xnor => picks.len().max(2),
+                GateKind::Const0 | GateKind::Const1 | GateKind::Input => 0,
+                _ => picks.len(),
+            };
+            let mut fanins: Vec<GateId> = (0..nf)
+                .map(|k| GateId::from_index(picks[k % picks.len()] % len))
+                .collect();
+            let accepted = match op {
+                0 | 1 => {
+                    let kind = if op == 1 {
+                        // Grow the gate's own fanin list by one: an arity
+                        // error for fixed-arity kinds, a cycle when the
+                        // new fanin reads the gate.
+                        fanins = m.gate(t).fanins().to_vec();
+                        fanins.push(GateId::from_index(picks[0] % len));
+                        m.gate(t).kind()
+                    } else {
+                        kind
+                    };
+                    let (lo, hi) = kind.arity();
+                    let cone = m.fanout_cone(t);
+                    let cyclic = fanins.iter().any(|f| cone.contains(f.index()));
+                    match m.replace_gate(t, kind, fanins.clone()) {
+                        Ok(()) => {
+                            prop_assert!(!cyclic && (lo..=hi).contains(&fanins.len()));
+                            true
+                        }
+                        Err(NetlistError::BadArity { .. }) => {
+                            prop_assert!(!(lo..=hi).contains(&fanins.len()));
+                            false
+                        }
+                        Err(NetlistError::CombinationalCycle { gate }) => {
+                            prop_assert!(cyclic && gate == t);
+                            false
+                        }
+                        Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
+                    }
+                }
+                2 => {
+                    let id = m.append_gate(kind, fanins);
+                    prop_assert_eq!(id, Ok(GateId::from_index(len)));
+                    true
+                }
+                _ => {
+                    m.set_name(t, Some(format!("e{step}")));
+                    true
+                }
+            };
+            if !accepted {
+                prop_assert_eq!(answers(&m), before);
             }
-        } else {
-            // Success keeps the schedule valid.
-            prop_assert_eq!(m.topo_order().len(), m.len());
+            let parts: Vec<Gate> = m.ids().map(|id| m.gate(id).clone()).collect();
+            let names = m.ids().map(|id| m.name(id).map(str::to_string)).collect();
+            let rebuilt = Netlist::from_parts_unchecked(parts, names, m.outputs().to_vec());
+            prop_assert_eq!(answers(&m), answers(&rebuilt));
+            prop_assert!(m.is_acyclic());
         }
+        prop_assert_eq!(answers(&n), source);
     }
 
     /// The abstraction equivalence contract on arbitrary circuits: the
