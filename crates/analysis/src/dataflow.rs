@@ -18,7 +18,7 @@ use incdx_netlist::{GateId, Netlist};
 pub enum Direction {
     /// Facts flow from fanins to fanouts (e.g. constant propagation).
     Forward,
-    /// Facts flow from fanouts to fanins (e.g. dominators, reachability).
+    /// Facts flow from fanouts to fanins (e.g. PO reachability).
     Backward,
 }
 

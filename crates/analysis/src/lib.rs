@@ -1,27 +1,29 @@
 //! Static dataflow analyses over [`incdx_netlist::Netlist`].
 //!
-//! The engine's candidate pipeline is dynamic — path-trace, rank, screen —
-//! but a netlist carries structural facts that hold for *every* vector and
-//! every candidate correction. This crate derives three of them on one
-//! shared fixed-point worklist engine ([`dataflow`]):
+//! A netlist carries structural facts that hold for *every* vector. This
+//! crate derives two of them on one shared fixed-point worklist engine
+//! ([`dataflow`]):
 //!
 //! * [`Constants`] — ternary constant propagation: which lines are pinned
 //!   to 0 or 1 by the structure alone (`Const0`/`Const1` gates and their
 //!   downstream implications);
-//! * [`DominatorTable`] — per-line *output-side dominators*: the lines
-//!   every propagation path from a line to any primary output must cross;
 //! * [`PoReach`] — per-line primary-output reachability: the set of PO
 //!   positions a line's fanout cone touches.
 //!
-//! On top of the tables, [`observable_changes`] answers the query the
-//! engine's pruning layer actually needs: *which POs could possibly change
-//! if line `l`'s function were modified in any way?* It refines pure
-//! reachability by re-propagating the constant lattice with `l` forced to
-//! [`Ternary::Varies`] — a gate inside `l`'s cone whose forced value is
-//! still a constant is pinned to the *same* constant with or without the
-//! modification (monotonicity of the transfer functions guarantees the
-//! forced value can only move *up* the lattice, and a constant that moves
-//! up to a constant is unchanged), so it blocks propagation.
+//! On top of them, [`observable_changes`] answers: *which POs could
+//! possibly change if line `l`'s function were modified in any way?* It
+//! refines pure reachability by re-propagating the constant lattice with
+//! `l` forced to [`Ternary::Varies`] — a gate inside `l`'s cone whose
+//! forced value is still a constant is pinned to the *same* constant with
+//! or without the modification (monotonicity of the transfer functions
+//! guarantees the forced value can only move *up* the lattice, and a
+//! constant that moves up to a constant is unchanged), so it blocks
+//! propagation.
+//!
+//! The structural lints in `incdx-lint` are the consumers: NL011
+//! (unobservable lines) reads [`Constants`], [`PoReach`] and
+//! [`observable_changes`], and NL012 (redundant gates) reads
+//! [`Constants`].
 //!
 //! All analyses terminate on arbitrary netlists, including the cyclic ones
 //! `from_parts_unchecked` can build (the worklist engine relies on finite
@@ -30,42 +32,13 @@
 
 pub mod constants;
 pub mod dataflow;
-pub mod dominators;
 pub mod reach;
 
 pub use constants::{Constants, Ternary};
 pub use dataflow::{solve, Dataflow, Direction};
-pub use dominators::DominatorTable;
 pub use reach::{PoReach, PoSet};
 
 use incdx_netlist::{GateId, Netlist};
-
-/// The per-job bundle of static tables the engine consults while pruning.
-///
-/// Computed once per diagnosis job on the base netlist; the engine looks
-/// the tables up only at the search root (whose netlist *is* the base
-/// netlist) and recomputes per-node facts everywhere else, so the bundle
-/// never goes stale as corrections are applied.
-#[derive(Debug, Clone)]
-pub struct AnalysisTables {
-    /// Ternary constant propagation result.
-    pub constants: Constants,
-    /// Per-line PO reachability.
-    pub reach: PoReach,
-    /// Per-line output-side dominator sets.
-    pub dominators: DominatorTable,
-}
-
-impl AnalysisTables {
-    /// Runs all three analyses on `netlist`.
-    pub fn compute(netlist: &Netlist) -> Self {
-        AnalysisTables {
-            constants: Constants::compute(netlist),
-            reach: PoReach::compute(netlist),
-            dominators: DominatorTable::compute(netlist),
-        }
-    }
-}
 
 /// The set of PO positions whose value function could change under *any*
 /// modification of `line`'s output function.
@@ -150,16 +123,17 @@ mod tests {
     #[test]
     fn observable_changes_is_blocked_by_constants() {
         let (n, i0) = blocked_net();
-        let tables = AnalysisTables::compute(&n);
+        let consts = Constants::compute(&n);
         let cone: Vec<GateId> = n.topo_order().to_vec();
-        let obs = observable_changes(&n, &tables.constants, i0, &cone);
+        let obs = observable_changes(&n, &consts, i0, &cone);
         // The AND with a Const0 side is pinned to 0 no matter what i0
         // does, so only po0 can observe a change at i0.
         assert!(obs.contains(0));
         assert!(!obs.contains(1));
         // Pure reachability says both POs are reachable.
-        assert!(tables.reach.reach(i0).contains(0));
-        assert!(tables.reach.reach(i0).contains(1));
+        let reach = PoReach::compute(&n);
+        assert!(reach.reach(i0).contains(0));
+        assert!(reach.reach(i0).contains(1));
     }
 
     #[test]
@@ -177,11 +151,12 @@ mod tests {
 
     #[test]
     fn tables_compute_is_consistent() {
-        let (n, _) = blocked_net();
-        let t = AnalysisTables::compute(&n);
-        assert!(t.dominators.validate());
-        assert_eq!(t.constants.len(), n.len());
+        let (n, i0) = blocked_net();
+        let consts = Constants::compute(&n);
+        assert_eq!(consts.len(), n.len());
         // c1, c0 are constant lines; z = AND(i0, c0) is constant too.
-        assert_eq!(t.constants.const_lines(), 3);
+        assert_eq!(consts.const_lines(), 3);
+        let reach = PoReach::compute(&n);
+        assert_eq!(reach.reach(i0).count(), n.outputs().len());
     }
 }

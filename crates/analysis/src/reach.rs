@@ -48,14 +48,6 @@ impl PoSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Do the two sets share any position?
-    pub fn intersects(&self, other: &PoSet) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .any(|(a, b)| a & b != 0)
-    }
-
     /// Is `other` a subset of `self`? Positions beyond `self`'s width
     /// count as absent from `self`.
     pub fn contains_all(&self, other: &PoSet) -> bool {
@@ -192,7 +184,6 @@ mod tests {
         a.insert(65);
         let mut b = PoSet::empty(70);
         b.insert(65);
-        assert!(a.intersects(&b));
         assert!(a.contains_all(&b));
         assert!(!b.contains_all(&a));
         b.insert(4);

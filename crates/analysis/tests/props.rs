@@ -1,7 +1,7 @@
 //! Property tests of the static analyses against brute-force recomputation
 //! and bit-parallel simulation on random DAGs.
 
-use incdx_analysis::{observable_changes, AnalysisTables, Constants, PoReach, Ternary};
+use incdx_analysis::{observable_changes, Constants, PoReach, Ternary};
 use incdx_gen::{random_dag, RandomDagConfig};
 use incdx_netlist::Netlist;
 use incdx_sim::{PackedMatrix, Simulator};
@@ -63,30 +63,6 @@ proptest! {
             }
             let obs = observable_changes(&n, &consts, id, &cone);
             prop_assert!(r.reach(id).contains_all(&obs), "obs ⊆ reach at {}", id);
-        }
-    }
-
-    /// Dominator sets validate, contain their line, and every dominator
-    /// lies inside the line's fanout cone (a chokepoint must be on every
-    /// path, hence on some path).
-    #[test]
-    fn dominators_are_reflexive_and_in_cone(seed in 0u64..300) {
-        let n = dag(seed);
-        let t = AnalysisTables::compute(&n);
-        prop_assert!(t.dominators.validate());
-        for id in n.ids() {
-            let reachable = !t.reach.reach(id).is_empty();
-            match t.dominators.dominators(id) {
-                None => prop_assert!(!reachable, "observed line {} lacks dominators", id),
-                Some(doms) => {
-                    prop_assert!(reachable);
-                    prop_assert!(doms.contains(&id));
-                    let cone = n.fanout_cone_sorted(id);
-                    for &d in doms {
-                        prop_assert!(d == id || cone.contains(&d));
-                    }
-                }
-            }
         }
     }
 }

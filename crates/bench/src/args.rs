@@ -42,11 +42,6 @@ pub struct Args {
     /// reverts to single-level search; exhaustive solution sets are
     /// identical either way).
     pub hierarchical: bool,
-    /// Arm the static-analysis pruning layer (`--prune`): candidate
-    /// lines provably unable to repair every failing output are dropped
-    /// before ranking (`--no-prune` reverts; solution sets are identical
-    /// either way — the pruning rules are sound by construction).
-    pub prune: bool,
     /// Decision-tree traversal strategy (`--traversal
     /// bfs|dfs|naive-bfs|best-first`; `bfs` is the paper's round-robin
     /// default).
@@ -93,7 +88,6 @@ impl Default for Args {
             incremental: true,
             sparse: true,
             hierarchical: false,
-            prune: false,
             traversal: TraversalKind::default(),
             audit: false,
             deadline_ms: None,
@@ -136,8 +130,6 @@ impl Args {
                 "--no-sparse" => args.sparse = false,
                 "--hierarchical" => args.hierarchical = true,
                 "--flat" => args.hierarchical = false,
-                "--prune" => args.prune = true,
-                "--no-prune" => args.prune = false,
                 "--audit" => args.audit = true,
                 "--deadline-ms" => args.deadline_ms = Some(parse_num(&value("--deadline-ms"))),
                 "--max-nodes" => args.max_nodes = Some(parse_num(&value("--max-nodes"))),
@@ -168,7 +160,7 @@ impl Args {
                          --time-limit SECONDS --jobs N --dispatch|--no-dispatch \
                          --json|--no-json \
                          --incremental|--no-incremental --sparse|--no-sparse \
-                         --hierarchical|--flat --prune|--no-prune --audit \
+                         --hierarchical|--flat --audit \
                          --traversal bfs|dfs|naive-bfs|best-first \
                          --deadline-ms N --max-nodes N --chaos SEED,RATE \
                          --checkpoint PATH --resume PATH"
@@ -305,13 +297,6 @@ mod tests {
         assert!(
             !Args::parse_from(["--hierarchical".to_string(), "--flat".to_string()]).hierarchical
         );
-    }
-
-    #[test]
-    fn prune_flag_round_trips() {
-        assert!(!Args::default().prune, "pruning is opt-in");
-        assert!(Args::parse_from(["--prune".to_string()]).prune);
-        assert!(!Args::parse_from(["--prune".to_string(), "--no-prune".to_string()]).prune);
     }
 
     #[test]

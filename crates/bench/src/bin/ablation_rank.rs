@@ -15,13 +15,7 @@ use incdx_sim::{PackedMatrix, Response, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn trial(
-    golden: &Netlist,
-    vectors: usize,
-    seed: u64,
-    sparse: bool,
-    prune: bool,
-) -> Option<(usize, usize)> {
+fn trial(golden: &Netlist, vectors: usize, seed: u64, sparse: bool) -> Option<(usize, usize)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let injection = inject_design_errors(
         golden,
@@ -41,7 +35,6 @@ fn trial(
     let mut config = RectifyConfig::dedc(1);
     config.max_candidates_per_node = usize::MAX;
     config.sparse = sparse;
-    config.prune = prune;
     let mut rect = Rectifier::new(
         injection.corrupted.clone(),
         pi.clone(),
@@ -110,7 +103,7 @@ fn main() {
         let results = run_parallel(args.trials, trial_jobs, |t| {
             for attempt in 0..20u64 {
                 let seed = args.trial_seed("ablation_rank", circuit, 1, t, attempt);
-                if let Some(r) = trial(&golden, args.vectors, seed, args.sparse, args.prune) {
+                if let Some(r) = trial(&golden, args.vectors, seed, args.sparse) {
                     return Some(r);
                 }
             }

@@ -28,7 +28,6 @@ fn sweep_point(
     seed: u64,
     level: ParamLevel,
     sparse: bool,
-    prune: bool,
 ) -> Option<Sweep> {
     let mut rng = StdRng::seed_from_u64(seed);
     let injection = inject_design_errors(
@@ -50,7 +49,6 @@ fn sweep_point(
     config.max_candidates_per_node = usize::MAX;
     config.theorem_floor = false; // sweep the raw threshold
     config.sparse = sparse;
-    config.prune = prune;
     let mut rect = Rectifier::new(
         injection.corrupted.clone(),
         pi.clone(),
@@ -108,9 +106,7 @@ fn main() {
             let results = run_parallel(args.trials, trial_jobs, |t| {
                 for attempt in 0..20u64 {
                     let seed = args.trial_seed("ablation_screening", circuit, 1, t, attempt);
-                    if let Some(s) =
-                        sweep_point(&golden, args.vectors, seed, level, args.sparse, args.prune)
-                    {
+                    if let Some(s) = sweep_point(&golden, args.vectors, seed, level, args.sparse) {
                         return Some(s);
                     }
                 }

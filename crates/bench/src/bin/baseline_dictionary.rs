@@ -63,7 +63,6 @@ fn trial(
     config.time_limit = Some(args.time_limit);
     config.sparse = args.sparse;
     config.hierarchical = args.hierarchical;
-    config.prune = args.prune;
     config.dispatch = args.dispatch;
     if args.dispatch {
         config.jobs = args.jobs;

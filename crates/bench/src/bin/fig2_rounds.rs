@@ -62,7 +62,6 @@ fn budget_config(args: &Args, budget: usize) -> RectifyConfig {
     config.incremental = args.incremental;
     config.sparse = args.sparse;
     config.hierarchical = args.hierarchical;
-    config.prune = args.prune;
     config.traversal = args.traversal;
     config.audit = args.audit;
     config.limits = args.limits();

@@ -96,7 +96,6 @@ fn run_mode(
     config.sparse = args.sparse;
     config.traversal = args.traversal;
     config.hierarchical = hierarchical;
-    config.prune = args.prune;
     let started = Instant::now();
     let result = Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
         .ok()?

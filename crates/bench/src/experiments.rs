@@ -56,10 +56,6 @@ pub struct TrialOptions {
     /// Two-level hierarchical diagnosis (see [`Args::hierarchical`]):
     /// abstract-first search resumed on the implicated concrete regions.
     pub hierarchical: bool,
-    /// Static-analysis candidate pruning (see [`Args::prune`]): sound
-    /// filtering of candidate lines before ranking; solution sets are
-    /// identical either way.
-    pub prune: bool,
     /// Decision-tree scheduling policy.
     pub traversal: TraversalKind,
     /// Arm the speculative node dispatcher
@@ -97,7 +93,6 @@ impl TrialOptions {
             incremental: args.incremental,
             sparse: args.sparse,
             hierarchical: args.hierarchical,
-            prune: args.prune,
             traversal: args.traversal,
             dispatch: args.dispatch,
             jobs: args.jobs,
@@ -233,7 +228,6 @@ pub fn stuck_at_trial(
     config.incremental = opts.incremental;
     config.sparse = opts.sparse;
     config.hierarchical = opts.hierarchical;
-    config.prune = opts.prune;
     config.traversal = opts.traversal;
     config.dispatch = opts.dispatch;
     if opts.dispatch {
@@ -330,7 +324,6 @@ pub fn dedc_trial(
     config.incremental = opts.incremental;
     config.sparse = opts.sparse;
     config.hierarchical = opts.hierarchical;
-    config.prune = opts.prune;
     config.traversal = opts.traversal;
     config.dispatch = opts.dispatch;
     if opts.dispatch {

@@ -67,8 +67,6 @@ pub struct ChaosSummary {
     pub summary_flips: u64,
     /// Abstraction-map entries corrupted in hierarchical runs.
     pub map_corruptions: u64,
-    /// Static-analysis dominator tables corrupted in pruning runs.
-    pub table_corruptions: u64,
     /// Serialized checkpoints torn on their way to the spool.
     pub checkpoint_corruptions: u64,
 }
@@ -81,7 +79,6 @@ impl ChaosSummary {
             + self.width_errors
             + self.summary_flips
             + self.map_corruptions
-            + self.table_corruptions
             + self.checkpoint_corruptions
     }
 }
@@ -90,14 +87,13 @@ impl fmt::Display for ChaosSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} injected ({} panics, {} bit flips, {} width errors, {} summary flips, {} map corruptions, {} table corruptions, {} checkpoint corruptions)",
+            "{} injected ({} panics, {} bit flips, {} width errors, {} summary flips, {} map corruptions, {} checkpoint corruptions)",
             self.total(),
             self.panics,
             self.bit_flips,
             self.width_errors,
             self.summary_flips,
             self.map_corruptions,
-            self.table_corruptions,
             self.checkpoint_corruptions
         )
     }
@@ -119,8 +115,6 @@ pub struct ChaosState {
     mask_seq: AtomicU64,
     /// Monotone count of abstraction builds (map-corruption keys).
     abstraction_seq: AtomicU64,
-    /// Monotone count of analysis-table builds (table-corruption keys).
-    analysis_seq: AtomicU64,
     /// Monotone count of checkpoint spool writes (corruption keys).
     spool_seq: AtomicU64,
     panics: AtomicU64,
@@ -128,7 +122,6 @@ pub struct ChaosState {
     width_errors: AtomicU64,
     summary_flips: AtomicU64,
     map_corruptions: AtomicU64,
-    table_corruptions: AtomicU64,
     checkpoint_corruptions: AtomicU64,
     /// Keys that already fired: a retried task draws the same key, finds
     /// it spent, and succeeds — faults are transient by construction.
@@ -144,14 +137,12 @@ impl ChaosState {
             prepare_seq: AtomicU64::new(0),
             mask_seq: AtomicU64::new(0),
             abstraction_seq: AtomicU64::new(0),
-            analysis_seq: AtomicU64::new(0),
             spool_seq: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             bit_flips: AtomicU64::new(0),
             width_errors: AtomicU64::new(0),
             summary_flips: AtomicU64::new(0),
             map_corruptions: AtomicU64::new(0),
-            table_corruptions: AtomicU64::new(0),
             checkpoint_corruptions: AtomicU64::new(0),
             fired: Mutex::new(HashSet::new()),
         })
@@ -177,7 +168,6 @@ impl ChaosState {
             width_errors: self.width_errors.load(Ordering::Relaxed),
             summary_flips: self.summary_flips.load(Ordering::Relaxed),
             map_corruptions: self.map_corruptions.load(Ordering::Relaxed),
-            table_corruptions: self.table_corruptions.load(Ordering::Relaxed),
             checkpoint_corruptions: self.checkpoint_corruptions.load(Ordering::Relaxed),
         }
     }
@@ -300,29 +290,6 @@ impl ChaosState {
         if self.draw(key) < self.config.rate && self.arm(key) {
             self.map_corruptions.fetch_add(1, Ordering::Relaxed);
             map.corrupt_for_chaos();
-            return true;
-        }
-        false
-    }
-
-    /// Corrupts one entry of a pruning run's static dominator table (once
-    /// per armed key). Like the abstraction map, the table's structural
-    /// invariant is a *derived* property —
-    /// [`incdx_analysis::DominatorTable::validate`] detects exactly this
-    /// corruption, and the engine rebuilds the table from the base
-    /// netlist, recording an `AnalysisRepair` degradation. Returns `true`
-    /// if an entry was corrupted.
-    pub fn maybe_corrupt_analysis(&self, table: &mut incdx_analysis::DominatorTable) -> bool {
-        let seq = self.analysis_seq.fetch_add(1, Ordering::Relaxed);
-        if table.is_empty() {
-            return false;
-        }
-        let key = 0xD0A7_0000_0000_0000 ^ seq;
-        if self.draw(key) < self.config.rate && self.arm(key) {
-            if !table.corrupt_for_chaos() {
-                return false;
-            }
-            self.table_corruptions.fetch_add(1, Ordering::Relaxed);
             return true;
         }
         false
@@ -597,25 +564,6 @@ mod tests {
         let mut pristine = incdx_netlist::Abstraction::build(&n);
         assert!(!zero.maybe_corrupt_abstraction(pristine.map_mut()));
         assert!(pristine.map().validate());
-    }
-
-    #[test]
-    fn analysis_table_corruption_is_detectable_and_counted() {
-        let n = incdx_netlist::parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nt1 = AND(a, b)\ny = NOT(t1)\n",
-        )
-        .unwrap();
-        let state = ChaosState::new(ChaosConfig { seed: 4, rate: 1.0 });
-        let mut table = incdx_analysis::DominatorTable::compute(&n);
-        assert!(table.validate());
-        assert!(state.maybe_corrupt_analysis(&mut table));
-        assert!(!table.validate(), "corruption must be detectable");
-        assert_eq!(state.summary().table_corruptions, 1);
-        assert!(state.summary().to_string().contains("1 table corruptions"));
-        let zero = ChaosState::new(ChaosConfig { seed: 4, rate: 0.0 });
-        let mut pristine = incdx_analysis::DominatorTable::compute(&n);
-        assert!(!zero.maybe_corrupt_analysis(&mut pristine));
-        assert!(pristine.validate());
     }
 
     #[test]

@@ -110,8 +110,8 @@ pub use pipeline::CandidatePipeline;
 pub use report::RectifyReport;
 pub use screen::{correction_output_row, correction_output_row_into, CorrectionScratch};
 pub use session::{
-    AbstractionStats, AnalysisStats, FaultClassSummary, Rectifier, RectifyConfig, RectifyResult,
-    RectifyStats, Solution,
+    AbstractionStats, FaultClassSummary, Rectifier, RectifyConfig, RectifyResult, RectifyStats,
+    Solution,
 };
 pub use traversal::{BestFirst, DepthFirst, NaiveBfs, RoundRobinBfs, Traversal, TraversalKind};
 pub use tree::{Node, PushOutcome, RankedCorrection, Tree};

@@ -240,10 +240,6 @@ pub enum DegradationKind {
     /// rebuilt from the base netlist — or the abstract session could not
     /// be constructed and the run fell back to flat diagnosis.
     AbstractionRepair,
-    /// A static-analysis table (the dominator table behind candidate
-    /// pruning telemetry) failed its structural self-check (a chaos
-    /// table corruption) and was rebuilt from the base netlist.
-    AnalysisRepair,
     /// A spooled checkpoint failed to parse back after a write (a torn
     /// write or a chaos corruption) and was rewritten from the live
     /// in-memory checkpoint before the damage could strand the job.
@@ -260,7 +256,6 @@ impl DegradationKind {
             DegradationKind::AuditRepair => "audit-repair",
             DegradationKind::SparseRepair => "sparse-repair",
             DegradationKind::AbstractionRepair => "abstraction-repair",
-            DegradationKind::AnalysisRepair => "analysis-repair",
             DegradationKind::CheckpointRepair => "checkpoint-repair",
         }
     }

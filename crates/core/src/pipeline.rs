@@ -68,7 +68,6 @@ pub struct CandidatePipeline<'a> {
     jobs: usize,
     cancel: CancelToken,
     chaos: Option<Arc<ChaosState>>,
-    analysis: Option<&'a incdx_analysis::AnalysisTables>,
 }
 
 impl<'a> CandidatePipeline<'a> {
@@ -84,7 +83,6 @@ impl<'a> CandidatePipeline<'a> {
             jobs,
             cancel: CancelToken::new(),
             chaos: None,
-            analysis: None,
         }
     }
 
@@ -106,17 +104,6 @@ impl<'a> CandidatePipeline<'a> {
     /// recovers each one by a serial retry, so results are unchanged.
     pub fn with_chaos(mut self, chaos: Option<Arc<ChaosState>>) -> Self {
         self.chaos = chaos;
-        self
-    }
-
-    /// Lends the run-level static-analysis tables
-    /// ([`incdx_analysis::AnalysisTables`], computed once over the base
-    /// netlist when [`RectifyConfig::prune`] is armed). The pipeline
-    /// consults them only at the search root, where the node netlist is
-    /// the base netlist; deeper nodes carry applied corrections and
-    /// recompute the (cheap) constant and reachability facts locally.
-    pub fn with_analysis(mut self, analysis: Option<&'a incdx_analysis::AnalysisTables>) -> Self {
-        self.analysis = analysis;
         self
     }
 
@@ -156,20 +143,6 @@ impl<'a> CandidatePipeline<'a> {
             marked.retain(|id| focus.binary_search(id).is_ok());
         }
         let remaining = (self.config.max_corrections - corrections.len()).max(1);
-        // Static pruning (when armed): drop marked lines the dataflow
-        // facts prove can never repair every failing PO. Sound by
-        // construction — see `prune_marked` for the argument.
-        if self.config.prune && !marked.is_empty() {
-            self.prune_marked(
-                netlist,
-                response,
-                corrections,
-                remaining,
-                &mut marked,
-                cones,
-                stats,
-            );
-        }
         marked.sort_by_key(|id| std::cmp::Reverse(counts[id.index()]));
         let fraction = self.config.path_trace_fraction.max(level.promote);
         let mut take = ((marked.len() as f64 * fraction).ceil() as usize)
@@ -285,107 +258,6 @@ impl<'a> CandidatePipeline<'a> {
         }
         stats.correction_time += t2.elapsed();
         ranked
-    }
-
-    /// Static candidate pruning over the marked-line set.
-    ///
-    /// Two rules, both sound:
-    ///
-    /// **Rule 1 (reachability, every mode).** A correction at `l` only
-    /// changes functions inside `l`'s fanout cone, so if no failing PO
-    /// is structurally reachable from `l`, no correction there can fix
-    /// any mismatch. Path-trace already walks backward from failing
-    /// POs, so every marked line reaches a failing PO by construction —
-    /// this rule is a verified no-op that cross-checks the two
-    /// traversals against each other. Because it never fires, the
-    /// pruned and unpruned pipelines are bit-identical in every mode.
-    ///
-    /// **Rule 2 (observability covering, exhaustive last slot only).**
-    /// With one correction slot left, a candidate at `l` must repair
-    /// *every* failing PO by itself. Re-propagating ternary constants
-    /// with `l` forced unknown ([`incdx_analysis::observable_changes`])
-    /// yields the set of POs any change at `l` could possibly affect;
-    /// a failing PO outside that set keeps its mismatch in every child,
-    /// and a max-depth child that still fails is dead. Dropping `l`
-    /// therefore removes no solutions — but it *does* shift pop-order
-    /// interleaving, which in first-solution (DEDC) mode could change
-    /// which of several valid solutions is reported first. Exhaustive
-    /// mode collects the full minimal set, so the set is order-blind;
-    /// the rule is gated on it.
-    #[allow(clippy::too_many_arguments)]
-    fn prune_marked(
-        &self,
-        netlist: &Netlist,
-        response: &Response,
-        corrections: &[Correction],
-        remaining: usize,
-        marked: &mut Vec<GateId>,
-        cones: &ConeCache,
-        stats: &mut RectifyStats,
-    ) {
-        use incdx_analysis::{observable_changes, Constants, PoReach, PoSet};
-        let t = Instant::now();
-        // The failing-PO position set F: POs whose captured row differs
-        // from the specification row anywhere under the tail mask.
-        let got = response.po_values();
-        let want = self.spec.po_values();
-        let wpr = got.words_per_row();
-        let tail = PackedBits::new(got.num_vectors()).tail_mask();
-        let mut failing = PoSet::empty(netlist.outputs().len());
-        for po_idx in 0..netlist.outputs().len() {
-            let differs = got
-                .row(po_idx)
-                .iter()
-                .zip(want.row(po_idx))
-                .enumerate()
-                .any(|(w, (a, b))| {
-                    let mut d = a ^ b;
-                    if w + 1 == wpr {
-                        d &= tail;
-                    }
-                    d != 0
-                });
-            if differs {
-                failing.insert(po_idx);
-            }
-        }
-        if failing.is_empty() {
-            stats.prune_time += t.elapsed();
-            return;
-        }
-        // Root nodes (no applied corrections) see the base netlist, so
-        // the run-level tables apply verbatim; deeper nodes carry
-        // rewrites and recompute the facts on their own netlist. Both
-        // paths are pure functions of the node netlist, preserving the
-        // pipeline's purity contract for the speculative dispatcher.
-        let local: (Constants, PoReach);
-        let (consts, reach) = match self.analysis {
-            Some(tables) if corrections.is_empty() => (&tables.constants, &tables.reach),
-            _ => {
-                local = (Constants::compute(netlist), PoReach::compute(netlist));
-                (&local.0, &local.1)
-            }
-        };
-        // Rule 1: retain lines reaching at least one failing PO.
-        stats.prune_checks += marked.len() as u64;
-        let before = marked.len();
-        marked.retain(|&l| reach.reach(l).intersects(&failing));
-        // Rule 2: with one slot left in exhaustive mode, the candidate
-        // must cover F outright. The cheap covering precheck
-        // (F ⊆ reach(l)) short-circuits the cone re-propagation, which
-        // is only consulted when structure alone cannot rule `l` out.
-        if self.config.exhaustive && remaining == 1 {
-            stats.prune_checks += marked.len() as u64;
-            marked.retain(|&l| {
-                if !reach.reach(l).contains_all(&failing) {
-                    return false;
-                }
-                let cone = cones.get(netlist, l);
-                observable_changes(netlist, consts, l, cone.sorted()).contains_all(&failing)
-            });
-        }
-        stats.static_pruned += (before - marked.len()) as u64;
-        stats.prune_time += t.elapsed();
     }
 
     /// Heuristic 1: run each promoted line's sensitivity pass and score

@@ -118,13 +118,6 @@ impl RectifyReport {
                 "phase1_nodes": a.phase1_nodes, "phase2_nodes": a.phase2_nodes,
             }
         });
-        let analysis = s.analysis.as_ref().map(|a| {
-            json_obj! {
-                "const_lines": a.const_lines, "dominated_lines": a.dominated_lines,
-                "table_rebuilds": a.table_rebuilds, "prune_checks": s.prune_checks,
-                "static_pruned": s.static_pruned,
-            }
-        });
         let fault_classes = s.fault_classes.as_ref().map(|fc| {
             json_obj! {
                 "classes": fc.classes, "faults": fc.faults,
@@ -150,7 +143,6 @@ impl RectifyReport {
             json_obj! {
                 "panics": c.panics, "bit_flips": c.bit_flips, "width_errors": c.width_errors,
                 "summary_flips": c.summary_flips, "map_corruptions": c.map_corruptions,
-                "table_corruptions": c.table_corruptions,
                 "checkpoint_corruptions": c.checkpoint_corruptions,
             }
         });
@@ -161,8 +153,8 @@ impl RectifyReport {
             "time": json_obj! {
                 "evaluate": secs(s.evaluate_time), "simulation": secs(s.simulation_time),
                 "path_trace": secs(s.path_trace_time), "rank": secs(s.rank_time),
-                "screen": secs(s.screen_time), "prune": secs(s.prune_time),
-                "diagnosis": secs(s.diagnosis_time), "correction": secs(s.correction_time),
+                "screen": secs(s.screen_time), "diagnosis": secs(s.diagnosis_time),
+                "correction": secs(s.correction_time),
             },
             "candidates": json_obj! {
                 "screened": s.corrections_screened, "qualified": s.corrections_qualified,
@@ -181,7 +173,7 @@ impl RectifyReport {
                 "cone_hits": s.cone_cache_hits, "matrix_hits": s.matrix_cache_hits,
                 "matrix_evictions": s.matrix_cache_evictions,
             },
-            "abstraction": abstraction, "analysis": analysis, "fault_classes": fault_classes,
+            "abstraction": abstraction, "fault_classes": fault_classes,
             "workers": json_obj! {
                 "count": s.parallel.workers, "busy": secs(s.parallel.busy),
                 "wall": secs(s.parallel.wall), "utilization": s.parallel.utilization(),
@@ -247,20 +239,12 @@ mod tests {
         assert!(json.contains("\"chaos\":null"));
         assert!(json.contains("\"dispatch\":null"));
         assert!(json.contains("\"abstraction\":null"));
-        assert!(json.contains("\"analysis\":null"));
         assert!(json.contains("\"fault_classes\":null"));
     }
 
     #[test]
     fn analysis_and_fault_class_telemetry_serialize() {
         let stats = RectifyStats {
-            analysis: Some(crate::AnalysisStats {
-                const_lines: 4,
-                dominated_lines: 11,
-                table_rebuilds: 1,
-            }),
-            prune_checks: 30,
-            static_pruned: 7,
             fault_classes: Some(crate::FaultClassSummary {
                 classes: 2,
                 faults: 6,
@@ -268,12 +252,9 @@ mod tests {
             }),
             ..RectifyStats::default()
         };
-        let report = RectifyReport::from_parts("prune", 1, 1, 1, Verdict::default(), 0, stats);
+        let report = RectifyReport::from_parts("classes", 1, 1, 1, Verdict::default(), 0, stats);
         let json = report.to_json();
-        assert!(json.contains(
-            "\"analysis\":{\"const_lines\":4,\"dominated_lines\":11,\
-             \"table_rebuilds\":1,\"prune_checks\":30,\"static_pruned\":7}"
-        ));
+        assert!(!json.contains("\"analysis\""));
         assert!(json.contains(
             "\"fault_classes\":{\"classes\":2,\"faults\":6,\"representatives\":[\"y/0\",\"g1/1\"]}"
         ));
@@ -354,7 +335,6 @@ mod tests {
             width_errors: 0,
             summary_flips: 3,
             map_corruptions: 1,
-            table_corruptions: 2,
             checkpoint_corruptions: 1,
         });
         let report = RectifyReport::from_parts(
@@ -376,7 +356,7 @@ mod tests {
             "\"degradations\":[{\"kind\":\"worker-panic\",\"count\":2,\"detail\":\"2 worker panic(s) \\\"quoted\\\"\"}]"
         ));
         assert!(json.contains(
-            "\"chaos\":{\"panics\":2,\"bit_flips\":1,\"width_errors\":0,\"summary_flips\":3,\"map_corruptions\":1,\"table_corruptions\":2,\"checkpoint_corruptions\":1}"
+            "\"chaos\":{\"panics\":2,\"bit_flips\":1,\"width_errors\":0,\"summary_flips\":3,\"map_corruptions\":1,\"checkpoint_corruptions\":1}"
         ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

@@ -156,19 +156,6 @@ pub struct RectifyConfig {
     /// restriction. Set internally by hierarchical phase 2; exposed for
     /// harnesses that already know the implicated region.
     pub focus: Option<Vec<GateId>>,
-    /// Static-analysis candidate pruning: build the
-    /// [`AnalysisTables`](incdx_analysis::AnalysisTables) for the job and
-    /// drop candidate lines whose effects provably cannot repair the
-    /// failing primary outputs before ranking/screening. Sound by
-    /// construction: the reachability check is a no-op contract on real
-    /// path-trace marks (every marked line reaches a failing PO), and the
-    /// covering check only fires on last-correction-slot nodes of
-    /// *exhaustive* runs, where dropping a provably dead candidate cannot
-    /// change the reported minimal solution set (first-solution DEDC runs
-    /// stay bit-identical by construction). Telemetry lands in
-    /// [`RectifyStats::static_pruned`] / [`RectifyStats::prune_checks`] /
-    /// [`RectifyStats::analysis`].
-    pub prune: bool,
 }
 
 impl RectifyConfig {
@@ -200,7 +187,6 @@ impl RectifyConfig {
             chaos: None,
             hierarchical: false,
             focus: None,
-            prune: false,
         }
     }
 
@@ -236,7 +222,6 @@ impl RectifyConfig {
             chaos: None,
             hierarchical: false,
             focus: None,
-            prune: false,
         }
     }
 }
@@ -307,9 +292,6 @@ pub struct RectifyStats {
     /// Total time evaluating decision-tree nodes (simulate + diagnose +
     /// screen; the sum over all nodes).
     pub evaluate_time: Duration,
-    /// Time in the static pruning stage (a component of
-    /// `diagnosis_time`; zero when pruning is off).
-    pub prune_time: Duration,
     /// Corrections evaluated against heuristic 2.
     pub corrections_screened: usize,
     /// Corrections surviving both screens (before the per-node cap).
@@ -396,36 +378,11 @@ pub struct RectifyStats {
     /// [`RectifyConfig::hierarchical`] and the abstraction was not
     /// degenerate; `None` otherwise (including flat fallbacks).
     pub abstraction: Option<AbstractionStats>,
-    /// Candidate lines dropped by the static pruning layer
-    /// ([`RectifyConfig::prune`]; 0 when pruning is off).
-    pub static_pruned: u64,
-    /// Candidate lines examined by the static pruning layer (each is one
-    /// reachability check, plus a covering check on last-slot exhaustive
-    /// nodes).
-    pub prune_checks: u64,
-    /// Static-analysis telemetry when the run was armed with
-    /// [`RectifyConfig::prune`]; `None` otherwise. In hierarchical runs
-    /// this is the sum over the child sessions' tables.
-    pub analysis: Option<AnalysisStats>,
     /// Structural fault-equivalence summary, computed on the base netlist
-    /// whenever an exhaustive stuck-at run starts (independent of
-    /// pruning); `None` for other modes. The paper's Table-1 "equivalent
-    /// fault classes" numbers come from here.
+    /// whenever an exhaustive stuck-at run starts; `None` for other
+    /// modes. The paper's Table-1 "equivalent fault classes" numbers come
+    /// from here.
     pub fault_classes: Option<FaultClassSummary>,
-}
-
-/// Telemetry of the static-analysis tables behind candidate pruning
-/// ([`RectifyConfig::prune`]); lands in [`RectifyStats::analysis`] and
-/// the JSON report's `"analysis"` object.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AnalysisStats {
-    /// Lines the ternary lattice proved constant.
-    pub const_lines: usize,
-    /// Lines with at least one strict output-side dominator.
-    pub dominated_lines: usize,
-    /// Dominator tables rebuilt after failing their structural
-    /// self-check (nonzero only under chaos corruption).
-    pub table_rebuilds: u64,
 }
 
 /// Structural fault-equivalence classes of the base netlist, from
@@ -572,11 +529,6 @@ pub struct Rectifier {
     /// runs serially for the rest of the run (results are bit-identical
     /// for every jobs count, so the fallback is lossless).
     degrade_serial: bool,
-    /// Static-analysis tables of the *base* netlist when
-    /// [`RectifyConfig::prune`] is armed; the pipeline consults them only
-    /// at the search root (whose netlist is the base) and recomputes
-    /// per-node facts elsewhere.
-    analysis: Option<incdx_analysis::AnalysisTables>,
     /// Harness label stamped into captured checkpoints.
     checkpoint_label: String,
     /// Harness trial seed stamped into captured checkpoints.
@@ -640,11 +592,10 @@ impl Rectifier {
         let base_inputs = netlist.inputs().to_vec();
         let base_cones = ConeCache::new(&netlist);
         let mut traversal = config.traversal.build();
-        // Seed the strategy with SCOAP observability unconditionally —
-        // not only when pruning is armed — so `--prune`/`--no-prune`
-        // schedules stay identical and the prune-equivalence contract
-        // holds bit-for-bit. (The netlist is combinational here; SCOAP
-        // requires exactly that.)
+        // Seed the strategy with SCOAP observability: best-first uses it
+        // to break exact score ties toward more observable lines; the
+        // other strategies ignore it. (The netlist is combinational here;
+        // SCOAP requires exactly that.)
         let scoap = incdx_atpg::Scoap::compute(&netlist);
         let co: Vec<u32> = netlist.ids().map(|id| scoap.co(id)).collect();
         traversal.seed_observability(&co);
@@ -672,7 +623,6 @@ impl Rectifier {
             cancel: CancelToken::new(),
             chaos,
             degrade_serial: false,
-            analysis: None,
             checkpoint_label: String::new(),
             checkpoint_seed: 0,
         })
@@ -870,7 +820,6 @@ impl Rectifier {
         self.stats.traversal = self.traversal.name();
         self.stats.evaluator = self.evaluator.name();
         self.degrade_serial = false;
-        self.arm_analysis();
         self.stats.fault_classes = fault_class_summary(&self.base, &self.config);
         // Global parameter relaxation (§3.3): the whole tree search runs at
         // one `h1/h2/h3` level; only if it "returns with no corrections" —
@@ -948,40 +897,6 @@ impl Rectifier {
             checkpoint,
             stats: self.stats.clone(),
         }
-    }
-
-    /// Builds (or clears) the job's static-analysis tables per
-    /// [`RectifyConfig::prune`], running the chaos
-    /// corrupt→validate→rebuild cycle on the dominator table: a
-    /// corrupted table must be caught by its structural self-check,
-    /// rebuilt from the base netlist, and recorded as an
-    /// [`DegradationKind::AnalysisRepair`] degradation.
-    fn arm_analysis(&mut self) {
-        self.analysis = None;
-        if !self.config.prune {
-            self.stats.analysis = None;
-            return;
-        }
-        let mut tables = incdx_analysis::AnalysisTables::compute(&self.base);
-        if let Some(chaos) = &self.chaos {
-            chaos.maybe_corrupt_analysis(&mut tables.dominators);
-        }
-        let mut rebuilds = 0;
-        if !tables.dominators.validate() {
-            tables.dominators = incdx_analysis::DominatorTable::compute(&self.base);
-            rebuilds = 1;
-            self.stats.degradations.push(DegradationEvent::new(
-                DegradationKind::AnalysisRepair,
-                1,
-                "dominator table failed its structural self-check; rebuilt from the base netlist",
-            ));
-        }
-        self.stats.analysis = Some(AnalysisStats {
-            const_lines: tables.constants.const_lines(),
-            dominated_lines: tables.dominators.dominated_lines(),
-            table_rebuilds: rebuilds,
-        });
-        self.analysis = Some(tables);
     }
 
     /// The two-level hierarchical orchestration
@@ -1865,8 +1780,7 @@ impl Rectifier {
             };
             let pipeline = CandidatePipeline::new(&self.config, &self.spec, jobs)
                 .with_cancel(self.cancel.clone())
-                .with_chaos(self.chaos.clone())
-                .with_analysis(self.analysis.as_ref());
+                .with_chaos(self.chaos.clone());
             let candidates = pipeline.run(
                 &netlist,
                 &vals,
@@ -1996,17 +1910,6 @@ fn absorb_child(stats: &mut RectifyStats, child: &RectifyStats) {
         (None, Some(theirs)) => stats.dispatch = Some(theirs.clone()),
         _ => {}
     }
-    // Static-analysis telemetry sums over child sessions (hierarchical
-    // phases each build tables for their own netlist).
-    match (&mut stats.analysis, &child.analysis) {
-        (Some(mine), Some(theirs)) => {
-            mine.const_lines += theirs.const_lines;
-            mine.dominated_lines += theirs.dominated_lines;
-            mine.table_rebuilds += theirs.table_rebuilds;
-        }
-        (None, Some(theirs)) => stats.analysis = Some(theirs.clone()),
-        _ => {}
-    }
     // `fault_classes` is deliberately NOT absorbed: it is a run-level
     // identity of the base netlist, not accumulated work.
 }
@@ -2035,7 +1938,6 @@ fn absorb_speculative(stats: &mut RectifyStats, spec: &RectifyStats) {
     stats.rank_time += spec.rank_time;
     stats.screen_time += spec.screen_time;
     stats.evaluate_time += spec.evaluate_time;
-    stats.prune_time += spec.prune_time;
     stats.corrections_screened += spec.corrections_screened;
     stats.corrections_qualified += spec.corrections_qualified;
     stats.lines_rejected_h1 += spec.lines_rejected_h1;
@@ -2055,8 +1957,6 @@ fn absorb_speculative(stats: &mut RectifyStats, spec: &RectifyStats) {
     stats.wire_sources_truncated += spec.wire_sources_truncated;
     stats.candidates_truncated += spec.candidates_truncated;
     stats.lines_truncated += spec.lines_truncated;
-    stats.static_pruned += spec.static_pruned;
-    stats.prune_checks += spec.prune_checks;
 }
 
 /// The structural fault-equivalence summary reported for exhaustive
@@ -2261,8 +2161,8 @@ mod tests {
             Response::capture(&device, &sim.run_for_inputs(&device, good.inputs(), &pi));
         let r = Rectifier::new(
             good.clone(),
-            pi,
-            device_resp,
+            pi.clone(),
+            device_resp.clone(),
             RectifyConfig::stuck_at_exhaustive(1),
         )
         .unwrap()
@@ -2283,6 +2183,14 @@ mod tests {
         expect.sort();
         assert_eq!(tuples, expect);
         assert_eq!(r.distinct_sites(), 3);
+        // Exhaustive stuck-at runs carry the structural fault-equivalence
+        // summary; DEDC runs carry none.
+        let classes = r.stats.fault_classes.as_ref().expect("fault classes");
+        assert!(classes.classes >= 1 && !classes.representatives.is_empty());
+        let dedc = Rectifier::new(good, pi, device_resp, RectifyConfig::dedc(1))
+            .unwrap()
+            .run();
+        assert!(dedc.stats.fault_classes.is_none());
     }
 
     #[test]

@@ -210,7 +210,8 @@ fn capped_exhaustive_run_with_solutions_is_truncated() {
 }
 
 /// A total-node budget stops the search with [`Verdict::BudgetExhausted`]
-/// and resumes losslessly, even across several checkpoint hops.
+/// and resumes losslessly, even across several checkpoint hops; limits
+/// armed far above what the run needs never trip and change nothing.
 #[test]
 fn node_budget_stops_and_chained_resume_matches_unlimited() {
     let golden = dag(5, 40);
@@ -221,6 +222,35 @@ fn node_budget_stops_and_chained_resume_matches_unlimited() {
     let unlimited = Rectifier::new(golden.clone(), pi.clone(), device.clone(), config.clone())
         .expect("well-formed inputs")
         .run();
+
+    // Armed but never tripped: a node budget and a deadline far above
+    // the run's needs leave the search, its verdict and its cost as they
+    // were, and capture no checkpoint — in both search modes.
+    for plain_config in [config.clone(), RectifyConfig::stuck_at_exhaustive(2)] {
+        let plain = Rectifier::new(
+            golden.clone(),
+            pi.clone(),
+            device.clone(),
+            plain_config.clone(),
+        )
+        .expect("well-formed inputs")
+        .run();
+        let mut armed_config = plain_config;
+        armed_config.limits = RectifyLimits {
+            deadline: Some(Duration::from_secs(86_400)),
+            max_total_nodes: Some(1_000_000_000),
+            ..RectifyLimits::default()
+        };
+        let armed = Rectifier::new(golden.clone(), pi.clone(), device.clone(), armed_config)
+            .expect("well-formed inputs")
+            .run();
+        assert!(!plain.solutions.is_empty());
+        assert_eq!(armed.solutions, plain.solutions);
+        assert_eq!(armed.stats.nodes, plain.stats.nodes);
+        assert_eq!(armed.stats.rounds, plain.stats.rounds);
+        assert_eq!(armed.verdict, plain.verdict);
+        assert!(armed.checkpoint.is_none());
+    }
 
     // Hop 1: stop after a single evaluated node.
     let mut budget_config = config.clone();

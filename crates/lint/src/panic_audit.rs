@@ -56,12 +56,12 @@ pub const UNWIND_SANCTIONED: &[&str] = &[
 /// Repo-relative source roots audited under the strict policy: the
 /// engine itself, the optimizer pre-pass that feeds it (a panic in
 /// a function-preserving rewrite must degrade to a no-op, not take a
-/// diagnosis run down), and the static substrates the engine now
-/// consults in-loop — the analysis tables behind candidate pruning and
-/// the SCOAP/collapsing passes behind traversal seeding and fault-class
-/// reporting. The serve daemon is held to the same bar: a long-running
-/// multi-tenant process whose contract is typed rejections and
-/// degradations, never aborts.
+/// diagnosis run down), and the static substrates that read arbitrary
+/// netlists — the constant and reachability analyses behind the NL011
+/// and NL012 lints, and the SCOAP/collapsing passes behind traversal
+/// seeding and fault-class reporting. The serve daemon is held to the
+/// same bar: a long-running multi-tenant process whose contract is
+/// typed rejections and degradations, never aborts.
 pub const STRICT_ROOTS: &[&str] = &[
     "crates/core/src",
     "crates/opt/src",

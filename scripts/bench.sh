@@ -13,21 +13,7 @@
 # modes traverse identical trees and the words ratio compares equal work —
 # a clock-truncated run would only compare throughput.
 #
-# A second mode, `BENCH_MODE=traversal`, benchmarks the decision-tree
-# traversal strategies instead: it runs the ablation_traversal workload
-# (3-error DEDC) once per strategy (bfs, dfs, naive-bfs, best-first) and
-# aggregates nodes expanded and engine wall time per (circuit, strategy)
-# into BENCH_traversal.json.
-#
-# A third mode, `BENCH_MODE=robustness`, measures the cost of the
-# resilience layer when armed but never tripped: the table1 workload
-# runs once as the baseline and once with a deadline and node budget far
-# above anything the run needs (chaos off). Both runs traverse identical
-# trees — the script asserts the solution sets match — so the wall-time
-# delta is the price of the once-per-plan-item limit checks. The budget
-# is <= 2% overhead; BENCH_robustness.json records the measurement.
-#
-# A fourth mode, `BENCH_MODE=simd`, benchmarks the hierarchical sparse
+# A second mode, `BENCH_MODE=simd`, benchmarks the hierarchical sparse
 # simulation kernel: the fig2_rounds workload runs once with --no-sparse
 # (dense masked popcounts over every word) and once with --sparse (block
 # summaries skip all-zero blocks). The two runs are bit-identical — the
@@ -42,7 +28,7 @@
 # at the suite default of 1024 a row holds only four 256-vector blocks,
 # so there is nothing for the block summary to skip.
 #
-# A fifth mode, `BENCH_MODE=scaling`, measures the speculative node
+# A third mode, `BENCH_MODE=scaling`, measures the speculative node
 # dispatcher: the fig2_rounds (best-first) and table2 workloads run at
 # --dispatch --jobs 1/2/4/8 and BENCH_scaling.json records wall and CPU
 # seconds per job count plus the dispatcher telemetry (speculative
@@ -52,7 +38,7 @@
 # wall-clock speedup is bounded by physical parallelism (on a 1-core
 # host the expected speedup is <= 1.0 and the run measures overhead).
 #
-# A sixth mode, `BENCH_MODE=hierarchical`, benchmarks two-level
+# A fourth mode, `BENCH_MODE=hierarchical`, benchmarks two-level
 # hierarchical diagnosis at scale: the hier_scale binary runs paired
 # flat/hierarchical first-solution trials (identical injections, stems
 # of collapsed super-gates as fault sites) under one shared node budget
@@ -63,17 +49,7 @@
 # trials where the hierarchical run solved inside a budget the flat
 # search exhausted — the mode's headline claim.
 #
-# A seventh mode, `BENCH_MODE=analysis`, measures static candidate
-# pruning: the table1 (exhaustive stuck-at — both pruning rules) and
-# fig2_rounds (DEDC — where pruning is a verified no-op) workloads run
-# once with --no-prune and once with --prune. The script asserts the
-# solution fingerprints are identical — the pruning soundness contract —
-# and BENCH_analysis.json records, per circuit, nodes visited and words
-# simulated in each mode, plus the pruned runs' analysis telemetry
-# (prune checks, statically pruned candidates, constant/dominated line
-# counts from the tables).
-#
-# An eighth mode, `BENCH_MODE=serve`, load-tests the `incdx-serve`
+# A fifth mode, `BENCH_MODE=serve`, load-tests the `incdx-serve`
 # daemon over its line-JSON TCP protocol via the serve_load binary:
 # BENCH_SMALL closed-loop small jobs (c17, one slice) from
 # BENCH_THREADS client threads race BENCH_GIANTS multi-slice c432a
@@ -86,7 +62,7 @@
 # an uninterrupted control run — serve_load exits nonzero otherwise).
 #
 # Environment overrides (defaults reproduce the committed benchmarks):
-#   BENCH_MODE         incremental | traversal | robustness | simd | scaling | hierarchical | analysis | serve  (default incremental)
+#   BENCH_MODE         incremental | simd | scaling | hierarchical | serve  (default incremental)
 #   BENCH_SMALL        serve mode: small jobs            (default 1500)
 #   BENCH_GIANTS       serve mode: giant jobs            (default 3)
 #   BENCH_THREADS      serve mode: client threads        (default 4)
@@ -135,14 +111,11 @@ THREADS="${BENCH_THREADS:-4}"
 WORKERS="${BENCH_WORKERS:-4}"
 case "$MODE" in
     incremental) OUT="${BENCH_OUT:-BENCH_incremental.json}" ;;
-    traversal)   OUT="${BENCH_OUT:-BENCH_traversal.json}" ;;
-    robustness)  OUT="${BENCH_OUT:-BENCH_robustness.json}" ;;
     simd)        OUT="${BENCH_OUT:-BENCH_simd.json}" ;;
     scaling)     OUT="${BENCH_OUT:-BENCH_scaling.json}" ;;
     hierarchical) OUT="${BENCH_OUT:-BENCH_hierarchical.json}" ;;
-    analysis)    OUT="${BENCH_OUT:-BENCH_analysis.json}" ;;
     serve)       OUT="${BENCH_OUT:-BENCH_serve.json}" ;;
-    *) echo "unknown BENCH_MODE $MODE (incremental|traversal|robustness|simd|scaling|hierarchical|analysis|serve)" >&2; exit 2 ;;
+    *) echo "unknown BENCH_MODE $MODE (incremental|simd|scaling|hierarchical|serve)" >&2; exit 2 ;;
 esac
 
 echo "==> build (release)"
@@ -166,110 +139,6 @@ if [ "$MODE" = serve ]; then
         --small "$SMALL" --giants "$GIANTS" --threads "$THREADS" --workers "$WORKERS" \
         --json > "$OUT"
     cat "$OUT"
-    echo "wrote $OUT"
-    exit 0
-fi
-
-if [ "$MODE" = traversal ]; then
-    # One ablation_traversal invocation runs every strategy on every
-    # circuit; the per-run JSON records carry the strategy in their label
-    # (ablation_traversal/<circuit>/<strategy>/t<trial>).
-    log="$tmp/traversal.jsonl"
-    echo "==> ablation_traversal (all strategies)"
-    "$bin/ablation_traversal" --circuits "$CIRCUITS" --trials "$TRIALS" \
-        --vectors "$VECTORS" --seed "$SEED" --time-limit "$TIME_LIMIT" \
-        --json | grep '"report":"rectify"' > "$log"
-
-    # Per (circuit, strategy): summed nodes expanded and engine seconds
-    # (diagnosis + correction phases — the search itself, not setup).
-    awk '{
-        if (match($0, /"label":"[^"]*"/)) {
-            label = substr($0, RSTART + 9, RLENGTH - 10)
-            split(label, p, "/")
-        }
-        nodes = dt = ct = 0
-        if (match($0, /"nodes":[0-9]+/)) {
-            s = substr($0, RSTART, RLENGTH); sub(/.*:/, "", s); nodes = s + 0
-        }
-        if (match($0, /"diagnosis":[0-9.]+/)) {
-            s = substr($0, RSTART, RLENGTH); sub(/.*:/, "", s); dt = s + 0
-        }
-        if (match($0, /"correction":[0-9.]+/)) {
-            s = substr($0, RSTART, RLENGTH); sub(/.*:/, "", s); ct = s + 0
-        }
-        key = p[2] "/" p[3]
-        n[key] += nodes; t[key] += dt + ct; solved[key] += ($0 ~ /"solutions":0/) ? 0 : 1
-        runs[key]++
-    } END {
-        for (k in n) printf "%s %d %.6f %d %d\n", k, n[k], t[k], solved[k], runs[k]
-    }' "$log" | sort > "$tmp/traversal.agg"
-
-    {
-        printf '{"bench":"traversal_strategies","seed":%s,"trials":%s,"vectors":%s' \
-            "$SEED" "$TRIALS" "$VECTORS"
-        printf ',"circuits":['
-        first_ckt=1
-        for ckt in ${CIRCUITS//,/ }; do
-            [ "$first_ckt" -eq 1 ] || printf ','
-            first_ckt=0
-            printf '{"circuit":"%s","strategies":[' "$ckt"
-            first_strat=1
-            for strat in bfs dfs naive-bfs best-first; do
-                line="$(awk -v k="$ckt/$strat" '$1==k' "$tmp/traversal.agg")"
-                [ -n "$line" ] || continue
-                read -r _ nodes secs solved runs <<< "$line"
-                [ "$first_strat" -eq 1 ] || printf ','
-                first_strat=0
-                printf '{"traversal":"%s","nodes":%s,"engine_s":%s,"solved":%s,"runs":%s}' \
-                    "$strat" "$nodes" "$secs" "$solved" "$runs"
-                echo "    $ckt/$strat: nodes=$nodes engine_s=$secs solved=$solved/$runs" >&2
-            done
-            printf ']}'
-        done
-        printf ']}\n'
-    } > "$OUT"
-    echo "wrote $OUT"
-    exit 0
-fi
-
-if [ "$MODE" = robustness ]; then
-    # $1=run name, rest = extra table1 flags. Captures the JSON records
-    # and prints the run's wall seconds.
-    run_table1() {
-        local name="$1" t0 t1
-        shift
-        t0=$(date +%s.%N)
-        "$bin/table1" --circuits "$CIRCUITS" --trials "$TRIALS" \
-            --vectors "$VECTORS" --seed "$SEED" --time-limit "$TIME_LIMIT" \
-            --json "$@" | grep '"report":"rectify"' > "$tmp/$name.jsonl"
-        t1=$(date +%s.%N)
-        awk -v a="$t0" -v b="$t1" 'BEGIN{printf "%.3f", b-a}'
-    }
-    # Sorted "label solutions distinct_sites" fingerprint of a run —
-    # armed limits must not change what the search finds.
-    fingerprint() {
-        sed -E 's/.*"label":"([^"]*)".*"solutions":([0-9]+),"distinct_sites":([0-9]+).*/\1 \2 \3/' \
-            "$1" | sort
-    }
-    echo "==> table1 (baseline)"
-    base_wall=$(run_table1 baseline)
-    echo "==> table1 (limits armed, chaos off)"
-    armed_wall=$(run_table1 armed --deadline-ms 86400000 --max-nodes 1000000000)
-    if [ "$(fingerprint "$tmp/baseline.jsonl")" != "$(fingerprint "$tmp/armed.jsonl")" ]; then
-        echo "armed-limits run diverged from the baseline solution set" >&2
-        exit 1
-    fi
-    overhead=$(awk -v b="$base_wall" -v a="$armed_wall" \
-        'BEGIN{if (b > 0) printf "%.2f", (a - b) / b * 100; else print "null"}')
-    printf '{"bench":"robustness_overhead","seed":%s,"trials":%s,"vectors":%s,"circuits":"%s","wall_s":{"baseline":%s,"armed":%s},"overhead_pct":%s,"budget_pct":2.0,"results_identical":true}\n' \
-        "$SEED" "$TRIALS" "$VECTORS" "$CIRCUITS" "$base_wall" "$armed_wall" \
-        "$overhead" > "$OUT"
-    echo "    wall: baseline=${base_wall}s armed=${armed_wall}s overhead=${overhead}%" >&2
-    case "$overhead" in
-        -*|null) ;;
-        *) awk -v o="$overhead" 'BEGIN{exit !(o > 2.0)}' \
-            && echo "warning: armed-limits overhead ${overhead}% exceeds the 2% budget" >&2 ;;
-    esac
     echo "wrote $OUT"
     exit 0
 fi
@@ -434,101 +303,6 @@ if [ "$MODE" = hierarchical ]; then
                 "$hs" "$hr" "$hn" "$hw"
             printf ',"hier_solves_where_flat_exhausts":%s}' "$win"
             echo "    $ckt: ratio=$cr flat ${fs}/${fr} (${fn} nodes) hier ${hs}/${hr} (${hn} nodes) wins=$win" >&2
-        done
-        printf ']}\n'
-    } > "$OUT"
-    echo "wrote $OUT"
-    exit 0
-fi
-
-if [ "$MODE" = analysis ]; then
-    # $1=experiment $2=prune mode (off|on) $3=flag. Captures the JSON
-    # records in $tmp/$1.$2.jsonl and the wall seconds in $tmp/$1.$2.wall.
-    run_exp() {
-        local exp="$1" mode="$2" flag="$3" t0 t1
-        local log="$tmp/$exp.$mode.jsonl"
-        echo "==> $exp (pruning $mode)"
-        t0=$(date +%s.%N)
-        case "$exp" in
-            table1)
-                "$bin/table1" --circuits "$CIRCUITS" --trials "$TRIALS" \
-                    --vectors "$VECTORS" --seed "$SEED" --time-limit "$TIME_LIMIT" \
-                    --json "$flag" | grep '"report":"rectify"' > "$log" ;;
-            fig2_rounds)
-                # fig2_rounds benches one circuit per invocation.
-                : > "$log"
-                local ckt
-                for ckt in ${CIRCUITS//,/ }; do
-                    "$bin/fig2_rounds" --circuits "$ckt" --vectors "$VECTORS" \
-                        --seed "$SEED" --time-limit "$TIME_LIMIT" \
-                        --json "$flag" | grep '"report":"rectify"' >> "$log"
-                done ;;
-            *) echo "unknown experiment $exp" >&2; exit 2 ;;
-        esac
-        t1=$(date +%s.%N)
-        awk -v a="$t0" -v b="$t1" 'BEGIN{printf "%.3f", b-a}' > "$tmp/$exp.$mode.wall"
-    }
-    # Sorted "label solutions distinct_sites" fingerprint — pruning must
-    # not change what the search finds.
-    fingerprint() {
-        sed -E 's/.*"label":"([^"]*)".*"solutions":([0-9]+),"distinct_sites":([0-9]+).*/\1 \2 \3/' \
-            "$1" | sort
-    }
-    # Sums one regex-matched numeric field over a run's records,
-    # restricted to one circuit (the label's second `/` segment) when $3
-    # is non-empty.
-    sum_match() { # $1=jsonl $2=regex with trailing :[0-9]+ $3=circuit|""
-        awk -v c="$3" -v re="$2" '{
-            if (match($0, /"label":"[^"]*"/)) {
-                label = substr($0, RSTART + 9, RLENGTH - 10); split(label, p, "/")
-            }
-            if (c != "" && p[2] != c) next
-            if (match($0, re)) {
-                s = substr($0, RSTART, RLENGTH); sub(/.*:/, "", s); t += s + 0
-            }
-        } END { print t + 0 }' "$1"
-    }
-    for exp in $EXPERIMENTS; do
-        run_exp "$exp" off --no-prune
-        run_exp "$exp" on --prune
-        if [ "$(fingerprint "$tmp/$exp.off.jsonl")" != "$(fingerprint "$tmp/$exp.on.jsonl")" ]; then
-            echo "$exp --prune diverged from the --no-prune solution set" >&2
-            exit 1
-        fi
-    done
-    {
-        printf '{"bench":"static_pruning","seed":%s,"trials":%s,"vectors":%s,"results_identical":true' \
-            "$SEED" "$TRIALS" "$VECTORS"
-        printf ',"experiments":['
-        first_exp=1
-        for exp in $EXPERIMENTS; do
-            [ "$first_exp" -eq 1 ] || printf ','
-            first_exp=0
-            off_wall=$(cat "$tmp/$exp.off.wall")
-            on_wall=$(cat "$tmp/$exp.on.wall")
-            checks=$(sum_match "$tmp/$exp.on.jsonl" '"prune_checks":[0-9]+' "")
-            pruned=$(sum_match "$tmp/$exp.on.jsonl" '"static_pruned":[0-9]+' "")
-            consts=$(sum_match "$tmp/$exp.on.jsonl" '"const_lines":[0-9]+' "")
-            doms=$(sum_match "$tmp/$exp.on.jsonl" '"dominated_lines":[0-9]+' "")
-            printf '{"experiment":"%s","wall_s":{"off":%s,"on":%s}' \
-                "$exp" "$off_wall" "$on_wall"
-            printf ',"prune":{"checks":%s,"static_pruned":%s,"const_lines":%s,"dominated_lines":%s}' \
-                "$checks" "$pruned" "$consts" "$doms"
-            printf ',"circuits":['
-            first_ckt=1
-            for ckt in ${CIRCUITS//,/ }; do
-                no=$(sum_match "$tmp/$exp.off.jsonl" '"nodes":[0-9]+' "$ckt")
-                yo=$(sum_match "$tmp/$exp.on.jsonl" '"nodes":[0-9]+' "$ckt")
-                wo=$(sum_match "$tmp/$exp.off.jsonl" '"words":[0-9]+' "$ckt")
-                wy=$(sum_match "$tmp/$exp.on.jsonl" '"words":[0-9]+' "$ckt")
-                [ "$first_ckt" -eq 1 ] || printf ','
-                first_ckt=0
-                printf '{"circuit":"%s","nodes":{"off":%s,"on":%s},"words_simulated":{"off":%s,"on":%s}}' \
-                    "$ckt" "$no" "$yo" "$wo" "$wy"
-                echo "    $exp/$ckt: nodes off=$no on=$yo, words off=$wo on=$wy" >&2
-            done
-            printf ']}'
-            echo "    $exp: wall off=${off_wall}s on=${on_wall}s checks=$checks pruned=$pruned" >&2
         done
         printf ']}\n'
     } > "$OUT"

@@ -189,38 +189,6 @@ for rep in 1 2; do
     fi
 done
 
-echo "==> smoke: static pruning reproduces the unpruned solution set"
-# The pruning soundness contract on the DEDC workload, where a pruned
-# run is bit-identical to an unpruned one (reachability pruning is a
-# verified no-op there — the counters prove it ran at all).
-unpruned_set="$(cargo run -p incdx-bench --release --bin fig2_rounds -- \
-    --circuits c432a --vectors 256 --time-limit 30 --no-prune \
-    --json 2>/dev/null | solution_set)"
-[ -n "$unpruned_set" ] || { echo "fig2_rounds --no-prune emitted no reports" >&2; exit 1; }
-pruned_out="$(cargo run -p incdx-bench --release --bin fig2_rounds -- \
-    --circuits c432a --vectors 256 --time-limit 30 --prune --json 2>/dev/null)"
-if [ "$unpruned_set" != "$(echo "$pruned_out" | solution_set)" ]; then
-    echo "fig2_rounds --prune diverged from the --no-prune solution set" >&2
-    exit 1
-fi
-echo "$pruned_out" | grep -q '"analysis":{"const_lines"' \
-    || { echo "pruned run reported no analysis telemetry" >&2; exit 1; }
-if echo "$pruned_out" | grep -q '"prune_checks":0,'; then
-    echo "pruned run performed zero prune checks" >&2; exit 1
-fi
-
-echo "==> smoke: static pruning bench (BENCH_MODE=analysis)"
-analysis_out="$(mktemp)"
-BENCH_MODE=analysis BENCH_CIRCUITS=c432a BENCH_EXPERIMENTS=fig2_rounds \
-    BENCH_VECTORS=256 BENCH_TIME_LIMIT=10 BENCH_OUT="$analysis_out" \
-    bash scripts/bench.sh \
-    >/dev/null 2>&1 || { echo "bench.sh analysis smoke failed" >&2; exit 1; }
-grep -q '"results_identical":true' "$analysis_out" \
-    || { echo "analysis bench did not certify pruned == unpruned results" >&2; exit 1; }
-grep -q '"static_pruned"' "$analysis_out" \
-    || { echo "analysis bench wrote no pruning counters" >&2; exit 1; }
-rm -f "$analysis_out"
-
 echo "==> smoke: serve daemon kill -9 recovery (BENCH_MODE=serve)"
 # The daemon's headline robustness contract, end to end against real
 # processes: serve_load starts a daemon, runs two jobs (plus a small
