@@ -128,29 +128,45 @@ impl Checkpoint {
     }
 }
 
-/// Atomically persists a checkpoint to `path`: the JSON line is written
-/// to a sibling temp file, flushed to disk, and renamed into place, so
-/// a crash mid-write can never leave a truncated document under the
-/// final name — readers observe either the previous complete
-/// checkpoint or the new one.
+/// Atomically persists a checkpoint to `path` with
+/// [`atomic_write_line`], so a crash mid-write can never leave a
+/// truncated document under the final name — readers observe either
+/// the previous complete checkpoint or the new one.
 ///
 /// # Errors
 ///
 /// [`IncdxError::CheckpointIo`] if any filesystem step fails.
 pub fn save_checkpoint_file(path: &Path, ckpt: &Checkpoint) -> Result<(), IncdxError> {
-    let io_err = |detail: std::io::Error| IncdxError::CheckpointIo {
+    atomic_write_line(path, &ckpt.to_json()).map_err(|e| IncdxError::CheckpointIo {
         path: path.display().to_string(),
-        detail: detail.to_string(),
-    };
+        detail: e.to_string(),
+    })
+}
+
+/// Durably replaces `path` with `line` plus a newline: the text goes to
+/// a sibling `.tmp` file, which is synced and renamed over `path`, and
+/// then the parent directory is synced so the rename itself survives a
+/// power loss. A crash at any point leaves either the old file or the
+/// new one under `path`, never a torn mix.
+///
+/// # Errors
+///
+/// The first filesystem step that fails.
+pub fn atomic_write_line(path: &Path, line: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-    file.write_all(ckpt.to_json().as_bytes()).map_err(io_err)?;
-    file.write_all(b"\n").map_err(io_err)?;
-    file.sync_all().map_err(io_err)?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(line.as_bytes())?;
+    file.write_all(b"\n")?;
+    file.sync_all()?;
     drop(file);
-    std::fs::rename(&tmp, path).map_err(io_err)
+    std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Loads a checkpoint previously written by [`save_checkpoint_file`]
@@ -593,6 +609,18 @@ mod tests {
             }
             other => panic!("expected CheckpointIo error, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_write_line_replaces_the_file_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("incdx-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("record.json");
+        atomic_write_line(&path, "first").unwrap();
+        atomic_write_line(&path, "second").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second\n");
+        assert!(!dir.join("record.json.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -90,8 +90,8 @@ mod wire;
 pub use audit::Auditing;
 pub use chaos::{Chaos, ChaosConfig, ChaosState, ChaosSummary};
 pub use checkpoint::{
-    load_checkpoint_file, netlist_fingerprint, save_checkpoint_file, Checkpoint, CheckpointNode,
-    CHECKPOINT_VERSION,
+    atomic_write_line, load_checkpoint_file, netlist_fingerprint, save_checkpoint_file, Checkpoint,
+    CheckpointNode, CHECKPOINT_VERSION,
 };
 pub use dispatch::{DispatchTelemetry, Frontier, Popped, Prio};
 pub use error::IncdxError;

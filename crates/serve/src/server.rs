@@ -10,14 +10,35 @@
 //!   job, the artifact store, and the accept loop keep going. All
 //!   mutexes are locked through poison-riding helpers for the same
 //!   reason.
-//! * **Durable progress.** A job's spool record is rewritten (atomic
-//!   temp-file + rename, see [`crate::spool`]) at admission, at every
-//!   slice boundary with the engine checkpoint embedded, and at its
-//!   terminal transition, which drops the checkpoint (a finished job
-//!   never resumes). `kill -9` between any two writes loses at
-//!   most the slice in flight; restart re-runs it from the last
-//!   checkpoint and — by the engine's lossless checkpoint/resume
-//!   contract — reaches the identical solution set.
+//! * **Durable progress.** A job's spool record is rewritten (temp
+//!   file, fsync, rename and a directory fsync; see [`crate::spool`])
+//!   at admission, at every slice boundary with the engine checkpoint
+//!   embedded, and at its terminal transition, which drops the
+//!   checkpoint (a finished job never resumes). No spool write runs
+//!   under the job-table lock. `submit` writes the admission record on
+//!   the client's thread before the job enters the ring. Every later
+//!   record is snapshotted under the lock and queued, with the events
+//!   it releases, to one spool-writer thread that writes records in
+//!   FIFO order. A preempted job re-enters the ring at once: its next
+//!   slice runs while its previous checkpoint is encoded, written and
+//!   read back. At most one record per job is queued or being written:
+//!   a slice that ends (or a `cancel` that arrives) before the job's
+//!   previous record is durable waits for it, so each job's records
+//!   land on disk in order, each carries the repairs of the ones
+//!   before it, and the queue never holds more records than jobs.
+//!
+//!   Three kinds of reply wait for durability: the submit
+//!   acknowledgement (the admission record), the cancel reply (the
+//!   terminal record of a job that was not on a worker), and every
+//!   subscription event, which the writer sends only once the record
+//!   it reflects is on disk — the verdict only after the terminal
+//!   record. `status` reads the job table, so it may run one slice
+//!   ahead of the spool. A `kill -9` loses at most the slice in flight
+//!   plus the one slice whose record was still queued; restart resumes
+//!   from the last durable checkpoint and — by the engine's lossless
+//!   checkpoint/resume contract — reaches the identical solution set.
+//!   [`Server::join`] drains the writer's queue before it returns, so
+//!   a graceful stop still spools every slice that finished.
 //! * **Typed backpressure.** Admission past `max_queue` pending jobs is
 //!   refused with a `queue-full` rejection carrying `retry_after_ms`;
 //!   nothing is silently dropped.
@@ -43,8 +64,8 @@ use std::time::{Duration, Instant};
 
 use incdx_core::json::Json;
 use incdx_core::{
-    json_fields, json_obj, CancelToken, ChaosConfig, ChaosState, Checkpoint, Rectifier,
-    RectifyResult, Verdict,
+    json_fields, json_obj, CancelToken, ChaosConfig, ChaosState, Checkpoint, DegradationEvent,
+    Rectifier, RectifyResult, Verdict,
 };
 
 use crate::intern::{Intern, Interned};
@@ -115,9 +136,13 @@ struct Job {
     deadline: Option<Instant>,
     /// Live `subscribe` streams; dropped after the terminal event.
     subscribers: Vec<mpsc::Sender<Event>>,
+    /// A record of this job is queued for the spool writer or being
+    /// written. A terminal job without one has had its verdict sent.
+    spool_queued: bool,
 }
 
 /// One event line queued to a subscriber; `terminal` closes the stream.
+#[derive(Clone)]
 struct Event {
     line: String,
     terminal: bool,
@@ -146,6 +171,8 @@ enum SliceEnd {
         expected: u64,
         /// Fingerprint of the freshly rebuilt workload.
         got: u64,
+        /// The quarantined record's file name.
+        quarantined: String,
     },
     /// Workload construction or engine setup failed.
     Failed(String),
@@ -168,6 +195,13 @@ struct SlicePlan {
     fingerprint: u64,
 }
 
+/// A job record queued for the spool writer, with the events that may
+/// reach subscribers only once it is durable.
+struct SpoolWrite {
+    record: SpoolRecord,
+    events: Vec<Event>,
+}
+
 /// Mutex-guarded scheduler state: the job table and the fair-share
 /// ring live under one lock so admission, preemption, and cancellation
 /// see a consistent picture.
@@ -175,6 +209,22 @@ struct Inner {
     jobs: HashMap<u64, Job>,
     queue: DrrQueue,
     next_id: u64,
+    /// Submits writing their admission record; each holds a queue slot.
+    admitting: usize,
+    /// The spool writer's FIFO, fed under this lock. `None` once
+    /// [`Server::join`] has stopped the writer.
+    writer: Option<mpsc::Sender<SpoolWrite>>,
+}
+
+/// `stats.spool`: what the spool writes cost, admission writes included.
+#[derive(Default)]
+struct SpoolStats {
+    writes: AtomicU64,
+    write_ns: AtomicU64,
+    write_ns_max: AtomicU64,
+    /// Records waiting for the writer, and the high-water mark.
+    queued: AtomicU64,
+    queued_max: AtomicU64,
 }
 
 /// Shared daemon state.
@@ -182,6 +232,8 @@ pub struct ServerState {
     cfg: ServeConfig,
     inner: Mutex<Inner>,
     cond: Condvar,
+    /// Signalled by the spool writer each time a record is durable.
+    spooled: Condvar,
     intern: Intern,
     spool: Spool,
     shutdown: AtomicBool,
@@ -192,19 +244,22 @@ pub struct ServerState {
     checkpoint_repairs: AtomicU64,
     recovered: u64,
     quarantined: AtomicU64,
+    spool_stats: SpoolStats,
 }
 
-/// A running daemon: owns the listener port and the worker/acceptor
-/// threads. Drive it with [`Server::stop`] + [`Server::join`].
+/// A running daemon: owns the listener port and the worker, acceptor
+/// and spool-writer threads. Drive it with [`Server::stop`] +
+/// [`Server::join`].
 pub struct Server {
     state: Arc<ServerState>,
     port: u16,
     threads: Vec<JoinHandle<()>>,
+    writer: JoinHandle<()>,
 }
 
 impl Server {
-    /// Binds, recovers the spool, and starts the worker pool and accept
-    /// loop.
+    /// Binds, recovers the spool, and starts the worker pool, the spool
+    /// writer and the accept loop.
     ///
     /// # Errors
     ///
@@ -249,6 +304,7 @@ impl Server {
                     repairs: rec.repairs,
                     deadline,
                     subscribers: Vec::new(),
+                    spool_queued: false,
                 },
             );
         }
@@ -259,14 +315,18 @@ impl Server {
             .map_err(|e| format!("cannot read bound address: {e}"))?
             .port();
         let workers = cfg.workers.max(1);
+        let (writer_tx, writer_rx) = mpsc::channel();
         let state = Arc::new(ServerState {
             cfg,
             inner: Mutex::new(Inner {
                 jobs,
                 queue,
                 next_id,
+                admitting: 0,
+                writer: Some(writer_tx),
             }),
             cond: Condvar::new(),
+            spooled: Condvar::new(),
             intern: Intern::new(),
             spool,
             shutdown: AtomicBool::new(false),
@@ -277,7 +337,12 @@ impl Server {
             checkpoint_repairs: AtomicU64::new(0),
             recovered,
             quarantined: AtomicU64::new(quarantined),
+            spool_stats: SpoolStats::default(),
         });
+        let writer = {
+            let st = Arc::clone(&state);
+            std::thread::spawn(move || spool_writer(&st, writer_rx))
+        };
         let mut threads = Vec::new();
         for _ in 0..workers {
             let st = Arc::clone(&state);
@@ -291,6 +356,7 @@ impl Server {
             state,
             port,
             threads,
+            writer,
         })
     }
 
@@ -317,11 +383,16 @@ impl Server {
     }
 
     /// Waits for every daemon thread to exit (call [`Server::stop`] or
-    /// send a `shutdown` request first).
+    /// send a `shutdown` request first). The spool writer stops last,
+    /// once it has written every record the finished slices queued.
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
         }
+        // Dropping the only sender ends the writer's loop after it has
+        // drained the queue.
+        lock(&self.state.inner).writer = None;
+        let _ = self.writer.join();
     }
 }
 
@@ -331,6 +402,18 @@ impl ServerState {
         self.cond.notify_all();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(("127.0.0.1", port));
+    }
+
+    /// [`Spool::write`], timed into the `stats.spool` counters.
+    fn write_record(&self, rec: &SpoolRecord) -> Result<Option<DegradationEvent>, String> {
+        let started = Instant::now();
+        let written = self.spool.write(rec);
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let stats = &self.spool_stats;
+        stats.writes.fetch_add(1, Ordering::Relaxed);
+        stats.write_ns.fetch_add(ns, Ordering::Relaxed);
+        stats.write_ns_max.fetch_max(ns, Ordering::Relaxed);
+        written
     }
 }
 
@@ -432,11 +515,18 @@ fn run_slice(state: &ServerState, plan: &SlicePlan) -> Result<SliceEnd, String> 
         Interned::NoFailingBehaviour => return Ok(SliceEnd::NoFailing),
     };
     // Recovery guard: a spool record that parses fine can still pin a
-    // checkpoint against a circuit the spec no longer rebuilds.
+    // checkpoint against a circuit the spec no longer rebuilds. The
+    // stale record (with its untrustworthy checkpoint) is moved aside as
+    // evidence. Only a record recovered from disk pins a fingerprint
+    // before the job's first slice here, so no record of this job can
+    // be queued behind the rename.
     if plan.fingerprint != 0 && plan.fingerprint != workload.fingerprint {
+        let quarantined = state.spool.quarantine(plan.id);
+        state.quarantined.fetch_add(1, Ordering::Relaxed);
         return Ok(SliceEnd::FingerprintMismatch {
             expected: plan.fingerprint,
             got: workload.fingerprint,
+            quarantined,
         });
     }
     let mut config = plan.spec.rectify_config();
@@ -469,10 +559,13 @@ fn run_slice(state: &ServerState, plan: &SlicePlan) -> Result<SliceEnd, String> 
     })
 }
 
-/// Applies a finished slice to the job table: requeue or finalize,
-/// spool the new record, and fan events out to subscribers.
+/// Applies a finished slice to the job table: finalize or requeue the
+/// job, and queue its new record with the slice's events for the spool
+/// writer. A preempted job re-enters the ring before its record is
+/// written; a slice that ended before the job's previous record is
+/// durable first waits for it.
 fn apply_slice(state: &ServerState, id: u64, budget: u64, end: SliceEnd) {
-    let mut inner = lock(&state.inner);
+    let mut inner = wait_spooled(state, lock(&state.inner), id);
     let Some(job) = inner.jobs.get_mut(&id) else {
         return;
     };
@@ -503,12 +596,13 @@ fn apply_slice(state: &ServerState, id: u64, budget: u64, end: SliceEnd) {
                 },
             ));
         }
-        SliceEnd::FingerprintMismatch { expected, got } => {
-            // The stale record (with its untrustworthy checkpoint) is
-            // moved aside as evidence; the job fails with a typed
-            // outcome and a fresh terminal record.
-            let name = state.spool.quarantine(id);
-            state.quarantined.fetch_add(1, Ordering::Relaxed);
+        SliceEnd::FingerprintMismatch {
+            expected,
+            got,
+            quarantined,
+        } => {
+            // The job fails with a typed outcome and a fresh terminal
+            // record.
             terminal = Some((
                 JobState::Failed,
                 JobOutcome {
@@ -516,7 +610,7 @@ fn apply_slice(state: &ServerState, id: u64, budget: u64, end: SliceEnd) {
                     solutions_fp: solution_fingerprint(&[]),
                     detail: format!(
                         "netlist fingerprint mismatch on resume: record pins {expected:#018x}, \
-                         rebuilt workload is {got:#018x}; record quarantined as {name}"
+                         rebuilt workload is {got:#018x}; record quarantined as {quarantined}"
                     ),
                     ..JobOutcome::default()
                 },
@@ -606,7 +700,7 @@ fn apply_slice(state: &ServerState, id: u64, budget: u64, end: SliceEnd) {
         inner.queue.finish(id);
         state.completed.fetch_add(1, Ordering::Relaxed);
     }
-    write_spool_and_emit(state, &mut inner, id, events);
+    queue_record(state, &mut inner, id, events);
     if let Some(unspent) = requeue_unspent {
         inner.queue.requeue(id, unspent);
         drop(inner);
@@ -614,44 +708,74 @@ fn apply_slice(state: &ServerState, id: u64, budget: u64, end: SliceEnd) {
     }
 }
 
-/// Rewrites `id`'s spool record, folds any repair degradation into the
-/// job and daemon counters, then flushes `events` (plus the terminal
-/// verdict event, if the job just finished) to subscribers.
-fn write_spool_and_emit(state: &ServerState, inner: &mut Inner, id: u64, mut events: Vec<Event>) {
-    let Some(job) = inner.jobs.get_mut(&id) else {
+/// Snapshots `id`'s record and queues it, with the `events` it releases,
+/// for the spool writer. Call it under the job-table lock, once
+/// [`wait_spooled`] has seen the job's previous record durable.
+fn queue_record(state: &ServerState, inner: &mut Inner, id: u64, events: Vec<Event>) {
+    let (Some(job), Some(writer)) = (inner.jobs.get_mut(&id), &inner.writer) else {
         return;
     };
-    match state.spool.write(&record_of(job)) {
-        Ok(Some(repair)) => {
-            job.repairs += 1;
-            state.checkpoint_repairs.fetch_add(1, Ordering::Relaxed);
-            events.push(degradation(id, repair.kind.tag(), &repair.detail));
+    // Counted before the send: the writer takes the record off the
+    // count as soon as it receives it.
+    let stats = &state.spool_stats;
+    let depth = stats.queued.fetch_add(1, Ordering::Relaxed) + 1;
+    stats.queued_max.fetch_max(depth, Ordering::Relaxed);
+    let record = record_of(job);
+    job.spool_queued = writer.send(SpoolWrite { record, events }).is_ok();
+}
+
+/// Waits, with the lock released, until no record of job `id` is queued
+/// for the spool writer or being written.
+fn wait_spooled<'a>(
+    state: &ServerState,
+    mut inner: MutexGuard<'a, Inner>,
+    id: u64,
+) -> MutexGuard<'a, Inner> {
+    while inner.jobs.get(&id).is_some_and(|job| job.spool_queued) {
+        inner = wait(&state.spooled, inner);
+    }
+    inner
+}
+
+/// The spool writer: writes each queued record in FIFO order outside
+/// the job-table lock, then takes the lock to fold any repair
+/// degradation into the job and daemon counters and to send the
+/// record's events — plus the verdict, once the terminal record is
+/// durable — to subscribers. Returns when [`Server::join`] has dropped
+/// the queue's sender and the queue is empty.
+fn spool_writer(state: &ServerState, queue: mpsc::Receiver<SpoolWrite>) {
+    for SpoolWrite { record, mut events } in queue {
+        state.spool_stats.queued.fetch_sub(1, Ordering::Relaxed);
+        let written = state.write_record(&record);
+        let mut inner = lock(&state.inner);
+        if let Some(job) = inner.jobs.get_mut(&record.id) {
+            job.spool_queued = false;
+            match written {
+                Ok(Some(repair)) => {
+                    job.repairs += 1;
+                    state.checkpoint_repairs.fetch_add(1, Ordering::Relaxed);
+                    events.push(degradation(job.id, repair.kind.tag(), &repair.detail));
+                }
+                Ok(None) => {}
+                Err(msg) => events.push(degradation(job.id, "checkpoint-io", &msg)),
+            }
+            let terminal = record.state.terminal();
+            if terminal {
+                events.push(Event {
+                    line: verdict_line(job),
+                    terminal: true,
+                });
+            }
+            let mut subscribers = std::mem::take(&mut job.subscribers);
+            for event in &events {
+                subscribers.retain(|tx| tx.send(event.clone()).is_ok());
+            }
+            if !terminal {
+                job.subscribers = subscribers;
+            }
         }
-        Ok(None) => {}
-        Err(msg) => events.push(degradation(id, "checkpoint-io", &msg)),
-    }
-    if job.state.terminal() {
-        events.push(Event {
-            line: verdict_line(job),
-            terminal: true,
-        });
-    }
-    let terminal = job.state.terminal();
-    if job.subscribers.is_empty() {
-        return;
-    }
-    let mut subscribers = std::mem::take(&mut job.subscribers);
-    for event in &events {
-        subscribers.retain(|tx| {
-            tx.send(Event {
-                line: event.line.clone(),
-                terminal: event.terminal,
-            })
-            .is_ok()
-        });
-    }
-    if !terminal {
-        job.subscribers = subscribers;
+        drop(inner);
+        state.spooled.notify_all();
     }
 }
 
@@ -781,18 +905,23 @@ fn handle_client(state: &Arc<ServerState>, stream: TcpStream) {
 }
 
 fn submit(state: &ServerState, tenant: String, spec: JobSpec) -> String {
-    let mut inner = lock(&state.inner);
-    let pending = inner.queue.len();
-    if pending >= state.cfg.max_queue {
-        state.rejected.fetch_add(1, Ordering::Relaxed);
-        // Depth-proportional hint: deeper queue, longer wait.
-        let retry = ((pending as u64).saturating_mul(25)).clamp(50, 5000);
-        return reject_queue_full(pending, retry);
-    }
-    let id = inner.next_id;
-    inner.next_id += 1;
+    let id = {
+        let mut inner = lock(&state.inner);
+        // A submit still writing its admission record holds a slot, so
+        // the cap holds however many clients submit at once.
+        let pending = inner.queue.len() + inner.admitting;
+        if pending >= state.cfg.max_queue {
+            state.rejected.fetch_add(1, Ordering::Relaxed);
+            // Depth-proportional hint: deeper queue, longer wait.
+            let retry = ((pending as u64).saturating_mul(25)).clamp(50, 5000);
+            return reject_queue_full(pending, retry);
+        }
+        inner.admitting += 1;
+        inner.next_id += 1;
+        inner.next_id - 1
+    };
     let deadline = spec.deadline_ms.and_then(millis_from_now);
-    let job = Job {
+    let mut job = Job {
         id,
         tenant,
         spec,
@@ -806,15 +935,28 @@ fn submit(state: &ServerState, tenant: String, spec: JobSpec) -> String {
         repairs: 0,
         deadline,
         subscribers: Vec::new(),
+        spool_queued: false,
     };
-    // Spool before admitting to the ring: a crash immediately after
-    // this write recovers the job; a crash immediately before loses a
-    // job the client never saw acknowledged.
-    if let Err(msg) = state.spool.write(&record_of(&job)) {
-        return reject(
-            RejectCode::BadRequest,
-            &format!("spool write failed: {msg}"),
-        );
+    // Spool before admitting to the ring, outside the lock: a crash
+    // immediately after this write recovers the job; a crash
+    // immediately before loses a job the client never saw
+    // acknowledged. No other record of the job exists yet, so this
+    // write cannot overtake one.
+    let written = state.write_record(&record_of(&job));
+    let mut inner = lock(&state.inner);
+    inner.admitting -= 1;
+    match written {
+        Ok(Some(_)) => {
+            job.repairs += 1;
+            state.checkpoint_repairs.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(None) => {}
+        Err(msg) => {
+            return reject(
+                RejectCode::BadRequest,
+                &format!("spool write failed: {msg}"),
+            );
+        }
     }
     inner.jobs.insert(id, job);
     inner.queue.enqueue(id);
@@ -840,32 +982,50 @@ fn status(state: &ServerState, id: u64) -> String {
 
 fn cancel(state: &ServerState, id: u64) -> String {
     let mut inner = lock(&state.inner);
-    let Some(job) = inner.jobs.get_mut(&id) else {
+    let Some(job) = inner.jobs.get(&id) else {
         return reject(RejectCode::UnknownJob, &format!("no job {id}"));
     };
     job.cancel.cancel();
-    match job.state {
-        JobState::Queued | JobState::Waiting | JobState::Interrupted => {
-            // Not on a worker: finalize immediately, dropping any
-            // checkpoint a waiting or interrupted job still holds.
-            job.state = JobState::Cancelled;
-            job.checkpoint = None;
-            job.outcome = Some(JobOutcome {
-                verdict: "cancelled".to_string(),
-                solutions_fp: solution_fingerprint(&[]),
-                detail: "cancelled before completion".to_string(),
-                ..JobOutcome::default()
-            });
-            inner.queue.finish(id);
-            state.completed.fetch_add(1, Ordering::Relaxed);
-            write_spool_and_emit(state, &mut inner, id, Vec::new());
-        }
-        // Running: the engine observes the token at its next poll and
-        // the slice finalizes the job; terminal states are a no-op.
-        _ => {}
+    if not_on_a_worker(&job.state) {
+        // Off the ring, so no worker picks the job up while its last
+        // queued record is written.
+        inner.queue.finish(id);
+        inner = wait_spooled(state, inner, id);
+    }
+    if inner.writer.is_none() {
+        return reject(RejectCode::BadState, "the daemon is shutting down");
+    }
+    let Some(job) = inner.jobs.get_mut(&id) else {
+        return reject(RejectCode::UnknownJob, &format!("no job {id}"));
+    };
+    // Running: the engine observes the token at its next poll and the
+    // slice finalizes the job; terminal states are a no-op.
+    if not_on_a_worker(&job.state) {
+        // Finalize, dropping any checkpoint a waiting or interrupted job
+        // still holds.
+        job.state = JobState::Cancelled;
+        job.checkpoint = None;
+        job.outcome = Some(JobOutcome {
+            verdict: "cancelled".to_string(),
+            solutions_fp: solution_fingerprint(&[]),
+            detail: "cancelled before completion".to_string(),
+            ..JobOutcome::default()
+        });
+        state.completed.fetch_add(1, Ordering::Relaxed);
+        queue_record(state, &mut inner, id, Vec::new());
+        // Reply once the terminal record is durable.
+        inner = wait_spooled(state, inner, id);
     }
     let tag = inner.jobs.get(&id).map_or("cancelled", |j| j.state.tag());
     ok(json_fields! { "job": id, "state": tag })
+}
+
+/// A live job that no worker is running.
+fn not_on_a_worker(state: &JobState) -> bool {
+    matches!(
+        state,
+        JobState::Queued | JobState::Waiting | JobState::Interrupted
+    )
 }
 
 fn resume(state: &ServerState, id: u64) -> String {
@@ -906,6 +1066,7 @@ fn stats(state: &ServerState) -> String {
     drop(inner);
     let intern = state.intern.stats();
     let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let spool = &state.spool_stats;
     ok(json_fields! {
         "queue_depth": depth,
         "jobs": json_obj! {
@@ -921,11 +1082,18 @@ fn stats(state: &ServerState) -> String {
         "rejected": load(&state.rejected), "panics_isolated": load(&state.panics_isolated),
         "checkpoint_repairs": load(&state.checkpoint_repairs), "recovered": state.recovered,
         "quarantined": load(&state.quarantined),
+        "spool": json_obj! {
+            "writes": load(&spool.writes), "write_ms": load(&spool.write_ns) as f64 / 1e6,
+            "write_ms_max": load(&spool.write_ns_max) as f64 / 1e6,
+            "queued_max": load(&spool.queued_max),
+        },
     })
 }
 
 /// Acknowledges, then streams the job's events until its terminal
-/// verdict. Already-terminal jobs get their verdict line immediately.
+/// verdict. A job whose terminal record is durable gets its verdict
+/// line immediately; one whose terminal record is still queued gets it
+/// from the spool writer, like every other event.
 fn subscribe(state: &ServerState, id: u64, out: &mut TcpStream) {
     let rx = {
         let mut inner = lock(&state.inner);
@@ -939,7 +1107,7 @@ fn subscribe(state: &ServerState, id: u64, out: &mut TcpStream) {
             );
             return;
         };
-        if job.state.terminal() {
+        if job.state.terminal() && !job.spool_queued {
             let line = verdict_line(job);
             let _ = out.write_all(format!("{}\n{line}\n", subscribed(id)).as_bytes());
             let _ = out.flush();

@@ -2,7 +2,8 @@
 //! under the daemon's spool directory.
 //!
 //! Every admission, slice boundary, and terminal transition rewrites
-//! the job's record via temp-file-plus-rename, so the spool always
+//! the job's record via temp-file-plus-rename (with the file and its
+//! directory synced; see [`atomic_write_line`]), so the spool always
 //! holds a *complete* document for every job — a `kill -9` between any
 //! two instructions leaves either the previous record or the new one,
 //! never a torn hybrid under the final name. On restart the daemon
@@ -21,12 +22,13 @@
 //! the line from memory, recording a `CheckpointRepair` degradation —
 //! injected tears map 1:1 onto repairs.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use incdx_core::json::{self, Json};
-use incdx_core::{json_fields, ChaosState, Checkpoint, DegradationEvent, DegradationKind};
+use incdx_core::{
+    atomic_write_line, json_fields, ChaosState, Checkpoint, DegradationEvent, DegradationKind,
+};
 
 use crate::job::{JobOutcome, JobSpec, JobState};
 
@@ -158,10 +160,11 @@ impl Spool {
         self.dir.join(format!("job-{id}.json"))
     }
 
-    /// Durably writes `rec`, atomically (temp file + rename + fsync),
-    /// then reads the file back and re-parses it. If the read-back
-    /// fails — a chaos-injected tear, or real media trouble — the clean
-    /// line is rewritten from memory and the repair is reported as a
+    /// Durably writes `rec`, atomically (temp file, fsync, rename and a
+    /// directory fsync; see [`atomic_write_line`]), then reads the file
+    /// back and re-parses it. If the read-back fails — a chaos-injected
+    /// tear, or real media trouble — the clean line is rewritten from
+    /// memory and the repair is reported as a
     /// [`DegradationKind::CheckpointRepair`] event (1:1 with injected
     /// faults).
     ///
@@ -170,11 +173,14 @@ impl Spool {
     /// Only if the filesystem refuses both attempts.
     pub fn write(&self, rec: &SpoolRecord) -> Result<Option<DegradationEvent>, String> {
         let path = self.path_of(rec.id);
+        let write_line = |line: &str| {
+            atomic_write_line(&path, line).map_err(|e| format!("{}: {e}", path.display()))
+        };
         let mut line = rec.to_json();
         if let Some(chaos) = &self.chaos {
             chaos.maybe_corrupt_checkpoint(&mut line);
         }
-        atomic_write_line(&path, &line)?;
+        write_line(&line)?;
         // Read-back validation: the spool must never leave a record it
         // cannot itself recover from.
         let damaged = match std::fs::read_to_string(&path) {
@@ -182,7 +188,7 @@ impl Spool {
             Err(_) => true,
         };
         if damaged {
-            atomic_write_line(&path, &rec.to_json())?;
+            write_line(&rec.to_json())?;
             return Ok(Some(DegradationEvent::new(
                 DegradationKind::CheckpointRepair,
                 1,
@@ -255,19 +261,6 @@ fn quarantine_name(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
     os.push(".quarantined");
     PathBuf::from(os)
-}
-
-fn atomic_write_line(path: &Path, line: &str) -> Result<(), String> {
-    let err = |e: std::io::Error| format!("{}: {e}", path.display());
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let mut file = std::fs::File::create(&tmp).map_err(err)?;
-    file.write_all(line.as_bytes()).map_err(err)?;
-    file.write_all(b"\n").map_err(err)?;
-    file.sync_all().map_err(err)?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(err)
 }
 
 #[cfg(test)]

@@ -1,15 +1,17 @@
 //! Shared helpers for the daemon integration tests: a line-JSON TCP
-//! client, unique spool directories under `target/tmp`, and the
-//! uninterrupted-run reference fingerprint.
+//! client, unique spool directories under `target/tmp`, spool records
+//! read back from disk, and the uninterrupted-run reference
+//! fingerprint.
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use incdx_core::json::{self, Json};
 use incdx_core::Rectifier;
 use incdx_serve::job::{build_workload, solution_fingerprint, BuiltWorkload, JobSpec};
+use incdx_serve::SpoolRecord;
 
 /// A blocking line-JSON client for one daemon connection.
 pub struct Client {
@@ -111,6 +113,12 @@ pub fn spool_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create spool dir");
     dir
+}
+
+/// Job `id`'s spool record as it stands on disk, if it is there.
+pub fn spool_record(dir: &Path, id: u64) -> Option<SpoolRecord> {
+    let text = std::fs::read_to_string(dir.join(format!("job-{id}.json"))).ok()?;
+    SpoolRecord::from_json(text.trim()).ok()
 }
 
 /// A submit request line for a suite-circuit job.

@@ -1,15 +1,17 @@
 //! In-process daemon integration tests: protocol round trips, artifact
 //! interning, fair-share preemption, cancellation, typed backpressure,
-//! checkpoint-free terminal records, spool quarantine, and
-//! graceful-interrupt recovery determinism.
+//! checkpoint-free terminal records, events that follow their durable
+//! spool record, a spool record within one slice of `status` under
+//! spool chaos, spool quarantine, and graceful-interrupt recovery
+//! determinism.
 
 mod common;
 
 use std::time::Duration;
 
 use common::{
-    giant_spec, giant_submit_line, is_terminal, reference_outcome, spool_dir, state_of,
-    submit_line, Client,
+    giant_spec, giant_submit_line, is_terminal, reference_outcome, spool_dir, spool_record,
+    state_of, submit_line, Client,
 };
 use incdx_serve::{ServeConfig, Server};
 
@@ -58,14 +60,26 @@ fn small_jobs_complete_and_share_interned_artifacts() {
         "second job must be served from the intern map"
     );
     assert!(intern.get("hit_rate").and_then(|v| v.as_f64()).unwrap() > 0.0);
-    // Subscribing to an already-terminal job yields its verdict line
-    // immediately.
-    client.send(&format!("{{\"req\":\"subscribe\",\"job\":{a}}}"));
-    let ack = client.recv();
-    assert_eq!(ack.get("subscribed").and_then(|v| v.as_bool()), Ok(true));
-    let verdict = client.recv();
-    assert_eq!(verdict.get("event").and_then(|v| v.as_str()), Ok("verdict"));
-    assert_eq!(verdict.get("state").and_then(|v| v.as_str()), Ok("done"));
+    // Subscribing to a terminal job yields its verdict line, at once or
+    // as soon as the terminal record is durable.
+    for id in [a, b] {
+        client.send(&format!("{{\"req\":\"subscribe\",\"job\":{id}}}"));
+        let ack = client.recv();
+        assert_eq!(ack.get("subscribed").and_then(|v| v.as_bool()), Ok(true));
+        let verdict = client.recv();
+        assert_eq!(verdict.get("event").and_then(|v| v.as_str()), Ok("verdict"));
+        assert_eq!(verdict.get("state").and_then(|v| v.as_str()), Ok("done"));
+    }
+    // Both verdicts are out, so both terminal records are durable: two
+    // admission writes and two terminal writes at least, the terminal
+    // ones through the writer's queue.
+    let stats = client.request("{\"req\":\"stats\"}");
+    let spool = stats.get("spool").expect("stats has spool block");
+    assert!(spool.get("writes").and_then(|v| v.as_u64()).unwrap() >= 4);
+    let write_ms = spool.get("write_ms").and_then(|v| v.as_f64()).unwrap();
+    let write_ms_max = spool.get("write_ms_max").and_then(|v| v.as_f64()).unwrap();
+    assert!(write_ms > 0.0 && write_ms_max > 0.0 && write_ms_max <= write_ms);
+    assert!(spool.get("queued_max").and_then(|v| v.as_u64()).unwrap() >= 1);
     server.stop();
     server.join();
 }
@@ -232,6 +246,111 @@ fn terminal_spool_records_carry_no_checkpoint() {
             "job {id}'s terminal record still carries a checkpoint"
         );
     }
+}
+
+/// Every event reaches a subscriber only once the spool record it
+/// reflects is on disk: no event's slice count runs ahead of the
+/// record's, and the verdict follows the terminal record.
+#[test]
+fn events_follow_their_durable_spool_record() {
+    let dir = spool_dir("durable-events");
+    let server = start(ServeConfig {
+        spool_dir: dir.clone(),
+        workers: 2,
+        quantum: 50,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.port());
+    let id = submit_ok(&mut client, &giant_submit_line("t"));
+    client.send(&format!("{{\"req\":\"subscribe\",\"job\":{id}}}"));
+    let ack = client.recv();
+    assert_eq!(ack.get("subscribed").and_then(|v| v.as_bool()), Ok(true));
+    let mut progress = 0;
+    loop {
+        let event = client.recv();
+        let rec = spool_record(&dir, id).expect("record on disk");
+        if let Some(slices) = event.get_opt("slices") {
+            let slices = slices.as_u64().unwrap();
+            assert!(
+                rec.slices >= slices,
+                "event at slice {slices} ran ahead of the record at slice {}",
+                rec.slices
+            );
+        }
+        if event.get("event").and_then(|v| v.as_str()).unwrap() == "verdict" {
+            assert!(rec.state.terminal(), "verdict before the terminal record");
+            assert_eq!(
+                rec.outcome.map(|o| o.solutions_fp),
+                event.get("solutions_fp").and_then(|v| v.as_u64()).ok()
+            );
+            break;
+        }
+        progress += 1;
+    }
+    assert!(progress >= 2, "the giant job must have been sliced");
+    server.stop();
+    server.join();
+}
+
+/// The spool writer holds at most one record per job. However slow its
+/// writes (under chaos each one is torn and repaired), the record on
+/// disk stays within one slice of `status`, and each record carries the
+/// repairs of every record before it: the verdict counts one repair per
+/// record written, and the terminal record all but its own.
+#[test]
+fn spool_record_stays_within_one_slice_of_status() {
+    use incdx_core::ChaosConfig;
+
+    let dir = spool_dir("lag");
+    let server = start(ServeConfig {
+        spool_dir: dir.clone(),
+        workers: 2,
+        quantum: 50,
+        chaos: Some(ChaosConfig {
+            seed: 11,
+            rate: 1.0,
+        }),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.port());
+    let id = submit_ok(&mut client, &giant_submit_line("t"));
+    // Status first, then the disk: the record can only move forward in
+    // between. A read that lands between a torn write and its repair
+    // finds no record to compare.
+    client.wait_status(id, Duration::from_secs(300), |s| {
+        let slices = s.get("slices").and_then(|v| v.as_u64()).unwrap();
+        if let Some(rec) = spool_record(&dir, id) {
+            assert!(
+                rec.slices + 1 >= slices,
+                "status at slice {slices}, record on disk at slice {}",
+                rec.slices
+            );
+        }
+        is_terminal(s)
+    });
+    client.send(&format!("{{\"req\":\"subscribe\",\"job\":{id}}}"));
+    client.recv();
+    let verdict = loop {
+        let event = client.recv();
+        if event.get("event").and_then(|v| v.as_str()).unwrap() == "verdict" {
+            break event;
+        }
+    };
+    let stats = client.request("{\"req\":\"stats\"}");
+    let spool = stats.get("spool").expect("stats has spool block");
+    let writes = spool.get("writes").and_then(|v| v.as_u64()).unwrap();
+    assert!(writes >= 3, "the giant job must have been sliced");
+    assert!(spool.get("queued_max").and_then(|v| v.as_u64()).unwrap() <= 1);
+    assert_eq!(verdict.get("repairs").and_then(|v| v.as_u64()), Ok(writes));
+    assert_eq!(
+        stats.get("checkpoint_repairs").and_then(|v| v.as_u64()),
+        Ok(writes)
+    );
+    let rec = spool_record(&dir, id).expect("repaired record parses");
+    assert!(rec.state.terminal());
+    assert_eq!(rec.repairs, writes - 1);
+    server.stop();
+    server.join();
 }
 
 #[test]

@@ -49,24 +49,8 @@
 # trials where the hierarchical run solved inside a budget the flat
 # search exhausted — the mode's headline claim.
 #
-# A fifth mode, `BENCH_MODE=serve`, load-tests the `incdx-serve`
-# daemon over its line-JSON TCP protocol via the serve_load binary:
-# BENCH_SMALL closed-loop small jobs (c17, one slice) from
-# BENCH_THREADS client threads race BENCH_GIANTS multi-slice c432a
-# jobs through one daemon, then a second daemon is SIGKILLed mid-job
-# and restarted over the same spool. BENCH_serve.json records
-# p50/p99/max submit-to-terminal latency, throughput, the
-# interned-artifact hit rate (basis points — must be nonzero), queue
-# rejections/retries, and the recovery block (jobs recovered after the
-# crash, and whether the resumed solution fingerprint is identical to
-# an uninterrupted control run — serve_load exits nonzero otherwise).
-#
 # Environment overrides (defaults reproduce the committed benchmarks):
-#   BENCH_MODE         incremental | simd | scaling | hierarchical | serve  (default incremental)
-#   BENCH_SMALL        serve mode: small jobs            (default 1500)
-#   BENCH_GIANTS       serve mode: giant jobs            (default 3)
-#   BENCH_THREADS      serve mode: client threads        (default 4)
-#   BENCH_WORKERS      serve mode: daemon worker threads (default 4)
+#   BENCH_MODE         incremental | simd | scaling | hierarchical  (default incremental)
 #   BENCH_REPEATS      simd mode: runs per kernel, summed  (default 5)
 #   BENCH_CIRCUITS     comma-separated suite circuits   (default c432a,c880a;
 #                      hierarchical: c6288a,parity2048,sec256)
@@ -105,43 +89,21 @@ fi
 REPEATS="${BENCH_REPEATS:-5}"
 SEED="${BENCH_SEED:-2002}"
 TIME_LIMIT="${BENCH_TIME_LIMIT:-600}"
-SMALL="${BENCH_SMALL:-1500}"
-GIANTS="${BENCH_GIANTS:-3}"
-THREADS="${BENCH_THREADS:-4}"
-WORKERS="${BENCH_WORKERS:-4}"
 case "$MODE" in
     incremental) OUT="${BENCH_OUT:-BENCH_incremental.json}" ;;
     simd)        OUT="${BENCH_OUT:-BENCH_simd.json}" ;;
     scaling)     OUT="${BENCH_OUT:-BENCH_scaling.json}" ;;
     hierarchical) OUT="${BENCH_OUT:-BENCH_hierarchical.json}" ;;
-    serve)       OUT="${BENCH_OUT:-BENCH_serve.json}" ;;
-    *) echo "unknown BENCH_MODE $MODE (incremental|simd|scaling|hierarchical|serve)" >&2; exit 2 ;;
+    *) echo "unknown BENCH_MODE $MODE (incremental|simd|scaling|hierarchical)" >&2; exit 2 ;;
 esac
 
 echo "==> build (release)"
 cargo build --release -p incdx-bench
-if [ "$MODE" = serve ]; then
-    cargo build --release -p incdx-serve
-fi
 
 # Cargo builds into $CARGO_TARGET_DIR when it is set.
 bin="${CARGO_TARGET_DIR:-target}/release"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-
-if [ "$MODE" = serve ]; then
-    # serve_load drives real daemon processes over TCP, asserts the
-    # kill -9 recovery fingerprint matches the uninterrupted control
-    # run, and exits nonzero if the intern hit rate is zero — the two
-    # acceptance properties gate the benchmark artifact itself.
-    echo "==> serve_load ($SMALL small + $GIANTS giant jobs, $THREADS clients, $WORKERS workers)"
-    "$bin/serve_load" --daemon "$bin/incdx-serve" --spool "$tmp/serve-spool" \
-        --small "$SMALL" --giants "$GIANTS" --threads "$THREADS" --workers "$WORKERS" \
-        --json > "$OUT"
-    cat "$OUT"
-    echo "wrote $OUT"
-    exit 0
-fi
 
 if [ "$MODE" = simd ]; then
     # $1=run name, $2=kernel flag. Captures the JSON records and prints

@@ -189,23 +189,6 @@ for rep in 1 2; do
     fi
 done
 
-echo "==> smoke: serve daemon kill -9 recovery (BENCH_MODE=serve)"
-# The daemon's headline robustness contract, end to end against real
-# processes: serve_load starts a daemon, runs two jobs (plus a small
-# closed-loop load), SIGKILLs a second daemon mid-job, restarts it over
-# the same spool, and exits nonzero unless the interrupted job resumes
-# to the *identical* solution fingerprint an uninterrupted control run
-# produces — and unless the interned-artifact hit rate is nonzero.
-serve_out="$(mktemp)"
-BENCH_MODE=serve BENCH_SMALL=40 BENCH_GIANTS=1 BENCH_THREADS=2 \
-    BENCH_WORKERS=2 BENCH_OUT="$serve_out" bash scripts/bench.sh \
-    >/dev/null 2>&1 || { echo "bench.sh serve smoke failed" >&2; exit 1; }
-grep -q '"identical":true' "$serve_out" \
-    || { echo "serve recovery fingerprint diverged from the control run" >&2; exit 1; }
-grep -q '"jobs_recovered":1' "$serve_out" \
-    || { echo "serve restart recovered no job from the spool" >&2; exit 1; }
-rm -f "$serve_out"
-
 echo "==> smoke: dispatcher criterion microbench compiles"
 cargo bench -p incdx-bench --bench dispatch --no-run >/dev/null 2>&1 \
     || { echo "criterion dispatch microbench failed to build" >&2; exit 1; }
