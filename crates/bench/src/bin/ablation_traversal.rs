@@ -85,6 +85,7 @@ fn main() -> ExitCode {
                         engine_jobs,
                         out.solutions,
                         out.sites,
+                        out.solutions_fp,
                         out.verdict,
                         out.partials,
                         out.stats.clone(),

@@ -63,6 +63,7 @@ fn resume_run(args: &Args, path: &str) -> ExitCode {
                 1,
                 out.tuples,
                 out.sites,
+                out.solutions_fp,
                 out.verdict,
                 out.partials,
                 out.stats,
@@ -156,6 +157,7 @@ fn main() -> ExitCode {
                         engine_jobs,
                         out.tuples,
                         out.sites,
+                        out.solutions_fp,
                         out.verdict,
                         out.partials,
                         out.stats.clone(),

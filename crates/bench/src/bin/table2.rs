@@ -62,6 +62,7 @@ fn resume_run(args: &Args, path: &str) -> ExitCode {
                 1,
                 out.solutions,
                 out.sites,
+                out.solutions_fp,
                 out.verdict,
                 out.partials,
                 out.stats,
@@ -152,6 +153,7 @@ fn main() -> ExitCode {
                         engine_jobs,
                         out.solutions,
                         out.sites,
+                        out.solutions_fp,
                         out.verdict,
                         out.partials,
                         out.stats.clone(),

@@ -5,8 +5,8 @@ use std::time::{Duration, Instant};
 
 use crate::args::Args;
 use incdx_core::{
-    ChaosConfig, Checkpoint, IncdxError, Rectifier, RectifyConfig, RectifyLimits, RectifyStats,
-    TraversalKind, Verdict,
+    solution_fingerprint, ChaosConfig, Checkpoint, IncdxError, Rectifier, RectifyConfig,
+    RectifyLimits, RectifyStats, TraversalKind, Verdict,
 };
 use incdx_fault::{inject_design_errors, inject_stuck_at_faults, InjectionConfig, StuckAt};
 use incdx_netlist::{scan_convert, Netlist};
@@ -154,6 +154,8 @@ pub struct StuckAtOutcome {
     pub tuples: usize,
     /// Distinct fault sites over all tuples.
     pub sites: usize,
+    /// Order-independent [`solution_fingerprint`] of the tuples.
+    pub solutions_fp: u64,
     /// Whether the actually-injected tuple (or, under masking, a strict
     /// subset of it) is among the answers.
     pub recovered: bool,
@@ -258,6 +260,7 @@ pub fn stuck_at_trial(
     Ok(Some(StuckAtOutcome {
         tuples: result.solutions.len(),
         sites: result.distinct_sites(),
+        solutions_fp: solution_fingerprint(&result.solutions),
         recovered,
         masked,
         total,
@@ -277,6 +280,8 @@ pub struct DedcOutcome {
     pub solutions: usize,
     /// Distinct corrected lines over all solutions.
     pub sites: usize,
+    /// Order-independent [`solution_fingerprint`] of the solutions.
+    pub solutions_fp: u64,
     /// Wall-clock for the whole rectification.
     pub total: Duration,
     /// Typed run outcome ([`Verdict::Exact`] on a clean full search).
@@ -366,6 +371,7 @@ pub fn dedc_trial(
         solved,
         solutions: result.solutions.len(),
         sites: result.distinct_sites(),
+        solutions_fp: solution_fingerprint(&result.solutions),
         total,
         verdict: result.verdict,
         partials: result.partials.len(),

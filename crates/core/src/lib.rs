@@ -85,7 +85,6 @@ mod screen;
 mod session;
 mod traversal;
 mod tree;
-mod wire;
 
 pub use audit::Auditing;
 pub use chaos::{Chaos, ChaosConfig, ChaosState, ChaosSummary};
@@ -107,7 +106,7 @@ pub use parallel::{
 pub use params::{default_ladder, ParamLevel};
 pub use path_trace::{path_trace_counts, path_trace_counts_batched};
 pub use pipeline::CandidatePipeline;
-pub use report::RectifyReport;
+pub use report::{solution_fingerprint, RectifyReport};
 pub use screen::{correction_output_row, correction_output_row_into, CorrectionScratch};
 pub use session::{
     AbstractionStats, FaultClassSummary, Rectifier, RectifyConfig, RectifyResult, RectifyStats,
@@ -115,4 +114,3 @@ pub use session::{
 };
 pub use traversal::{BestFirst, DepthFirst, NaiveBfs, RoundRobinBfs, Traversal, TraversalKind};
 pub use tree::{Node, PushOutcome, RankedCorrection, Tree};
-pub use wire::wire_sources;

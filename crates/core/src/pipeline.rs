@@ -111,6 +111,32 @@ impl<'a> CandidatePipeline<'a> {
     /// returns its ranked candidate list (best rank first, capped at
     /// [`RectifyConfig::max_candidates_per_node`]). Empty means the
     /// node is a dead leaf at this parameter level.
+    ///
+    /// **The last-slot rule.** When one correction slot is left
+    /// (`corrections.len() + 1 == max_corrections`), only lines that
+    /// path-trace marks on *every* traced vector — the first
+    /// `min(path_trace_vector_cap, |V_err|)` failing vectors — go on to
+    /// ranking and screening. A child at this node is a solution only if
+    /// its one correction repairs every failing vector, and no correction
+    /// on a line that is unmarked on some traced vector `v` repairs `v`:
+    ///
+    /// - A correction on line `l` rewrites only `l`'s gate, and any gate
+    ///   it appends feeds only `l`. Every other gate keeps its function.
+    /// - A marked AND/OR-family gate has all of its controlling fanins
+    ///   marked, or all of its fanins when none controls; BUF, NOT and
+    ///   XOR-family gates mark every fanin.
+    /// - So, in topological order, each marked gate other than `l` sees
+    ///   its marked fanins unchanged on `v`. A controlling fanin still
+    ///   controls, and a gate without one sees every fanin unchanged, so
+    ///   its value on `v` is unchanged too. With `l` unmarked, no marked
+    ///   line changes on `v`. The erroneous POs are marked, so `v` still
+    ///   fails.
+    ///
+    /// Every dropped candidate would have been closed as a failing leaf,
+    /// so no last-slot solution is lost; the rule holds for every model,
+    /// traversal, evaluator and hierarchical phase. Under
+    /// [`RectifyConfig::audit`] each dropped line is checked by its
+    /// sensitivity pass.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &self,
@@ -141,6 +167,24 @@ impl<'a> CandidatePipeline<'a> {
         // proposes corrections on unfocused lines.
         if let Some(focus) = &self.config.focus {
             marked.retain(|id| focus.binary_search(id).is_ok());
+        }
+        // The last-slot rule (see the method doc): a lone correction must
+        // sit on a line marked on every traced vector.
+        let traced = self
+            .config
+            .path_trace_vector_cap
+            .min(response.num_failing());
+        let mut dropped = Vec::new();
+        if corrections.len() + 1 == self.config.max_corrections {
+            let everywhere = |id: &GateId| counts[id.index()] as usize == traced;
+            if self.config.audit {
+                dropped = marked
+                    .iter()
+                    .copied()
+                    .filter(|id| !everywhere(id))
+                    .collect();
+            }
+            marked.retain(everywhere);
         }
         let remaining = (self.config.max_corrections - corrections.len()).max(1);
         marked.sort_by_key(|id| std::cmp::Reverse(counts[id.index()]));
@@ -178,6 +222,11 @@ impl<'a> CandidatePipeline<'a> {
                 row
             })
             .collect();
+        if !dropped.is_empty() {
+            self.audit_dropped_lines(
+                netlist, vals, response, &mismatch, &dropped, traced, cones, stats,
+            );
+        }
         // When the level disables the h1 filter (exhaustive stuck-at
         // mode), skip the sensitivity passes here and order lines by
         // path-trace count alone; screening then runs a pass, and
@@ -333,6 +382,55 @@ impl<'a> CandidatePipeline<'a> {
         stats.parallel.merge(&outcome.telemetry);
         scored.sort_by(|a, b| b.score.total_cmp(&a.score));
         scored
+    }
+
+    /// The audit of the last-slot rule: runs each dropped line's
+    /// sensitivity pass and checks that the failing row its flip leaves
+    /// (`F` of [`FlipMasks`]) still holds one of the first `traced`
+    /// failing vectors. The check is exact: a correction flips the line
+    /// on some set of vectors and leaves `F`'s verdict on each of them,
+    /// so one that repairs every traced vector must flip the line on all
+    /// of them, and `F` must hold none. A dropped line that fails the
+    /// check is a violation, fatal in debug builds. The passes run on a
+    /// private simulator and count no simulation effort.
+    #[allow(clippy::too_many_arguments)]
+    fn audit_dropped_lines(
+        &self,
+        netlist: &Netlist,
+        vals: &PackedMatrix,
+        response: &Response,
+        mismatch: &[Vec<u64>],
+        dropped: &[GateId],
+        traced: usize,
+        cones: &ConeCache,
+        stats: &mut RectifyStats,
+    ) {
+        let err_words = response.failing_vectors().words();
+        let mut traced_words = vec![0u64; err_words.len()];
+        for v in response.failing_vectors().iter_ones().take(traced) {
+            traced_words[v / 64] |= 1 << (v % 64);
+        }
+        let tail = PackedBits::new(vals.num_vectors()).tail_mask();
+        let (mut sim, mut vals, mut saved) = (Simulator::new(), vals.clone(), Vec::new());
+        for &line in dropped {
+            stats.audit_checks += 1;
+            let cone = cones.get(netlist, line);
+            let flips = sensitivity(netlist, &mut sim, &mut vals, line, &cone, &mut saved);
+            let flip = FlipMasks::new(netlist, mismatch, &flips, &cone, err_words, tail);
+            // Traced vectors fail, so `F` holds one exactly where `fix`
+            // misses it.
+            if traced_words
+                .iter()
+                .zip(&flip.fix)
+                .all(|(&t, &f)| t & !f == 0)
+            {
+                stats.audit_violations += 1;
+                debug_assert!(
+                    false,
+                    "audit: line {line}, dropped at the last slot, can repair every traced vector"
+                );
+            }
+        }
     }
 
     /// The screening stage: enumerate corrections per qualified line,
@@ -616,7 +714,7 @@ impl<'a> CandidatePipeline<'a> {
                         };
                         // Both scores stay exact ratios of these counts:
                         // `RankedCorrection::repairs_every_vector` (below)
-                        // closes last-slot leaves on them.
+                        // closes capped children on them.
                         let newly_err = flip.newly_err(new_row, &cur);
                         let h3_score = 1.0 - newly_err as f64 / n_corr.max(1) as f64;
                         if h3_score + 1e-12 < level.h3 {
@@ -666,9 +764,10 @@ impl<'a> CandidatePipeline<'a> {
 
 impl RankedCorrection {
     /// Does this correction, applied to the node it was screened on,
-    /// leave no failing vector? The engine closes a last-slot child for
-    /// which this is `false` without preparing it: only a child that
-    /// repairs every vector can be a solution.
+    /// leave no failing vector? The engine closes a child that can never
+    /// join the tree (at the depth bound or the node cap) for which this
+    /// is `false` without preparing it: only a child that repairs every
+    /// vector can be a solution.
     ///
     /// The test is exact. [`CandidatePipeline::run`]'s screening stage
     /// computes `h1 = fixed / |V_err|` and `h3 = 1 − newly_err / |V_corr|`

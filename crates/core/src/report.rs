@@ -10,9 +10,11 @@
 use std::fmt;
 use std::time::Duration;
 
+use incdx_fault::{Correction, CorrectionAction};
+
 use crate::json::Json;
 use crate::limits::Verdict;
-use crate::session::{RectifyResult, RectifyStats};
+use crate::session::{RectifyResult, RectifyStats, Solution};
 use crate::{json_fields, json_obj};
 
 /// A flattened, serializable view of one [`crate::Rectifier::run`].
@@ -50,6 +52,8 @@ pub struct RectifyReport {
     pub solutions: usize,
     /// Distinct lines over all solutions ([`RectifyResult::distinct_sites`]).
     pub distinct_sites: usize,
+    /// Order-independent [`solution_fingerprint`] of the solution set.
+    pub solutions_fp: u64,
     /// Typed run outcome ([`RectifyResult::verdict`]).
     pub verdict: Verdict,
     /// Number of ranked partial solutions reported
@@ -67,6 +71,7 @@ impl RectifyReport {
             jobs,
             result.solutions.len(),
             result.distinct_sites(),
+            solution_fingerprint(&result.solutions),
             result.verdict,
             result.partials.len(),
             result.stats.clone(),
@@ -75,11 +80,13 @@ impl RectifyReport {
 
     /// Builds a report from already-extracted pieces, for harnesses that
     /// summarize a [`RectifyResult`] and drop it before reporting.
+    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         label: &str,
         jobs: usize,
         solutions: usize,
         distinct_sites: usize,
+        solutions_fp: u64,
         verdict: Verdict,
         partials: usize,
         stats: RectifyStats,
@@ -89,6 +96,7 @@ impl RectifyReport {
             jobs,
             solutions,
             distinct_sites,
+            solutions_fp,
             verdict,
             partials,
             stats,
@@ -101,7 +109,8 @@ impl RectifyReport {
         let head = json_fields! {
             "report": "rectify", "label": &self.label, "traversal": s.traversal,
             "evaluator": s.evaluator, "jobs": self.jobs, "solutions": self.solutions,
-            "distinct_sites": self.distinct_sites, "verdict": self.verdict.tag(),
+            "distinct_sites": self.distinct_sites, "solutions_fp": self.solutions_fp,
+            "verdict": self.verdict.tag(),
         };
         let partial = match self.verdict {
             Verdict::Partial {
@@ -197,6 +206,52 @@ fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
+/// Order-independent fingerprint of a solution set, for checking that two
+/// runs (a resumed and an uninterrupted one, or two builds of the engine)
+/// reached exactly the same solutions. Each solution's corrections are
+/// serialized canonically (sorted), the solution strings are sorted, and
+/// the whole list is FNV-hashed.
+pub fn solution_fingerprint(solutions: &[Solution]) -> u64 {
+    let mut keys: Vec<String> = solutions
+        .iter()
+        .map(|s| {
+            let mut parts: Vec<String> = s.corrections.iter().map(correction_key).collect();
+            parts.sort();
+            parts.join("+")
+        })
+        .collect();
+    keys.sort();
+    fnv64(keys.join("|").as_bytes())
+}
+
+fn correction_key(c: &Correction) -> String {
+    let line = c.line().index();
+    match c.action() {
+        CorrectionAction::SetConst(v) => format!("{line}:const:{v}"),
+        CorrectionAction::ChangeKind(kind) => format!("{line}:kind:{}", kind.token()),
+        CorrectionAction::InvertInput { port } => format!("{line}:inv:{port}"),
+        CorrectionAction::RemoveInput { port } => format!("{line}:rm:{port}"),
+        CorrectionAction::AddInput { source } => format!("{line}:add:{}", source.index()),
+        CorrectionAction::ReplaceInput { port, source } => {
+            format!("{line}:rep:{port}:{}", source.index())
+        }
+        CorrectionAction::WireThrough { port } => format!("{line}:wire:{port}"),
+        CorrectionAction::InsertGate { kind, other } => {
+            format!("{line}:ins:{}:{}", kind.token(), other.index())
+        }
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +260,7 @@ mod tests {
     fn escapes_label_characters() {
         let stats = RectifyStats::default();
         let report =
-            RectifyReport::from_parts("a\"b\\c\nd\u{1}", 1, 0, 0, Verdict::default(), 0, stats);
+            RectifyReport::from_parts("a\"b\\c\nd\u{1}", 1, 0, 0, 0, Verdict::default(), 0, stats);
         assert!(report
             .to_json()
             .starts_with("{\"report\":\"rectify\",\"label\":\"a\\\"b\\\\c\\nd\\u0001\","));
@@ -228,6 +283,8 @@ mod tests {
             "balanced braces: {json}"
         );
         assert!(json.contains("\"jobs\":4"));
+        // The empty set's fingerprint is FNV-1a's offset basis.
+        assert!(json.contains("\"distinct_sites\":0,\"solutions_fp\":14695981039346656037,"));
         assert!(json.contains("\"traversal\":\""));
         assert!(json.contains("\"evaluator\":\""));
         assert!(json.contains("\\\"quoted\\\""));
@@ -252,7 +309,7 @@ mod tests {
             }),
             ..RectifyStats::default()
         };
-        let report = RectifyReport::from_parts("classes", 1, 1, 1, Verdict::default(), 0, stats);
+        let report = RectifyReport::from_parts("classes", 1, 1, 1, 0, Verdict::default(), 0, stats);
         let json = report.to_json();
         assert!(!json.contains("\"analysis\""));
         assert!(json.contains(
@@ -277,7 +334,7 @@ mod tests {
             }),
             ..RectifyStats::default()
         };
-        let report = RectifyReport::from_parts("hier", 1, 1, 1, Verdict::default(), 0, stats);
+        let report = RectifyReport::from_parts("hier", 1, 1, 1, 0, Verdict::default(), 0, stats);
         let json = report.to_json();
         assert!(json.contains(
             "\"abstraction\":{\"super_gates\":12,\"concrete_gates\":100,\
@@ -306,7 +363,8 @@ mod tests {
             }),
             ..RectifyStats::default()
         };
-        let report = RectifyReport::from_parts("dispatch", 2, 1, 1, Verdict::default(), 0, stats);
+        let report =
+            RectifyReport::from_parts("dispatch", 2, 1, 1, 0, Verdict::default(), 0, stats);
         let json = report.to_json();
         assert!(json.contains(
             "\"dispatch\":{\"workers\":2,\"tasks_executed\":10,\"tasks_stolen\":3,\
@@ -340,6 +398,7 @@ mod tests {
         let report = RectifyReport::from_parts(
             "chaos",
             2,
+            0,
             0,
             0,
             Verdict::Partial {

@@ -115,10 +115,12 @@ pub struct RectifyConfig {
     /// Opt-in engine invariant audit: wrap the evaluation backend in the
     /// [`Auditing`](crate::Auditing) decorator (sampled replay of
     /// incremental node preparations against a from-scratch rebuild,
-    /// matrix width checks), replay every last-slot leaf the engine
-    /// closes from its parent's screening scores (such a leaf must not
-    /// be a solution), and re-verify every reported solution against a
-    /// fresh simulation. Audit work runs on private simulators and does
+    /// matrix width checks), replay every child the engine closes from
+    /// its parent's screening scores (such a child must not be a
+    /// solution), check every line the pipeline's last-slot rule drops
+    /// against its sensitivity pass (see [`CandidatePipeline::run`]),
+    /// and re-verify every reported solution against a fresh
+    /// simulation. Audit work runs on private simulators and does
     /// not perturb the reported work counters; results are recorded in
     /// [`RectifyStats::audit_checks`] / [`RectifyStats::audit_violations`].
     pub audit: bool,
@@ -1484,17 +1486,16 @@ impl Rectifier {
                 {
                     continue;
                 }
-                // A last-slot child the parent's screening scores prove
-                // still fails is closed without preparing it. Any other
-                // child at the depth or node cap can never join the
-                // tree; evaluate it lazily — solution check only, no
-                // diagnosis/screening for a candidate list nobody reads.
-                let outcome = if corrections.len() == self.config.max_corrections
-                    && !cand.repairs_every_vector()
-                {
+                // A child at the depth bound or the node cap can never
+                // join the tree. If the parent's screening scores prove
+                // it still fails, it is closed without preparing it;
+                // otherwise it is evaluated lazily — solution check only,
+                // no diagnosis/screening for a candidate list nobody
+                // reads.
+                let expandable = tree.expandable(corrections.len());
+                let outcome = if !expandable && !cand.repairs_every_vector() {
                     self.close_failing_leaf(&corrections)
                 } else {
-                    let expandable = tree.expandable(corrections.len());
                     self.evaluate(&corrections, level, expandable, disp)
                 };
                 match outcome {
@@ -1648,12 +1649,17 @@ impl Rectifier {
         }
     }
 
-    /// Closes a last-slot child whose parent's screening scores prove it
-    /// still fails ([`RankedCorrection::repairs_every_vector`] is
-    /// `false`): it counts as a node and is dead, with no prepare, no
-    /// simulation and no comparison. Under [`RectifyConfig::audit`] the
-    /// tuple is replayed from scratch; a leaf that replays as a solution
-    /// is a violation, fatal in debug builds.
+    /// Closes a child that can never join the tree and whose parent's
+    /// screening scores prove it still fails
+    /// ([`RankedCorrection::repairs_every_vector`] is `false`): it counts
+    /// as a node, with no prepare, no simulation and no comparison. At
+    /// the depth bound it is dead. Below it only the node cap refuses a
+    /// child, so it is counted as the lazy path counts it, one
+    /// `expansions_skipped`, and returned as an empty open node whose
+    /// push reports the cap (the push refuses it, so its `failing` count
+    /// is never read). Under [`RectifyConfig::audit`] the tuple is
+    /// replayed from scratch; a leaf that replays as a solution is a
+    /// violation, fatal in debug builds.
     fn close_failing_leaf(&mut self, corrections: &[Correction]) -> NodeEval {
         self.stats.nodes += 1;
         if self.config.audit {
@@ -1666,7 +1672,14 @@ impl Rectifier {
                 );
             }
         }
-        NodeEval::Dead
+        if corrections.len() >= self.config.max_corrections {
+            return NodeEval::Dead;
+        }
+        self.stats.expansions_skipped += 1;
+        NodeEval::Open {
+            candidates: Vec::new(),
+            failing: 0,
+        }
     }
 
     /// Evaluates one hypothetical node — the base netlist with
@@ -1694,8 +1707,8 @@ impl Rectifier {
     /// and checked for being a solution, but diagnosis and screening —
     /// whose only product is the discarded candidate list — are skipped
     /// and an empty `Open` is returned for any still-failing node.
-    /// (The search loop closes last-slot children whose scores prove
-    /// they fail before asking; see [`Rectifier::close_failing_leaf`].)
+    /// (The search loop closes such children whose scores prove they
+    /// fail before asking; see [`Rectifier::close_failing_leaf`].)
     fn evaluate(
         &mut self,
         corrections: &[Correction],

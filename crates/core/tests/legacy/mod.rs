@@ -8,7 +8,9 @@
 //! refactored engine's strategies are pinned against the *default*
 //! behaviour. Everything else — node preparation, the incremental
 //! matrix-cache path, heuristic 1, screening, stat accounting — is a
-//! line-for-line copy, rebased onto the crate's public API.
+//! line-for-line copy, rebased onto the crate's public API. One later
+//! engine rule, the last-slot line filter, is copied in behind a
+//! constructor argument, so the oracle runs with and without it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -129,14 +131,20 @@ pub struct LegacyRectifier {
     base_cones: ConeCache,
     base_vals: Option<PackedMatrix>,
     matrix_cache: NodeMatrixCache,
+    last_slot_rule: bool,
 }
 
 impl LegacyRectifier {
+    /// `last_slot_rule` gives the oracle the engine's last-slot rule
+    /// (`CandidatePipeline::run`): with one slot left, screen only the
+    /// lines marked on every traced vector. Without it the oracle is the
+    /// pre-rule engine.
     pub fn new(
         netlist: Netlist,
         vectors: PackedMatrix,
         spec: Response,
         config: RectifyConfig,
+        last_slot_rule: bool,
     ) -> Self {
         assert!(
             netlist.is_combinational(),
@@ -163,6 +171,7 @@ impl LegacyRectifier {
             base_cones,
             base_vals: None,
             matrix_cache,
+            last_slot_rule,
         }
     }
 
@@ -465,6 +474,13 @@ impl LegacyRectifier {
             self.config.path_trace_vector_cap,
         );
         let mut marked: Vec<GateId> = netlist.ids().filter(|id| counts[id.index()] > 0).collect();
+        if self.last_slot_rule && corrections.len() + 1 == self.config.max_corrections {
+            let traced = self
+                .config
+                .path_trace_vector_cap
+                .min(response.num_failing());
+            marked.retain(|id| counts[id.index()] as usize == traced);
+        }
         marked.sort_by_key(|id| std::cmp::Reverse(counts[id.index()]));
         let fraction = self.config.path_trace_fraction.max(level.promote);
         let mut take = ((marked.len() as f64 * fraction).ceil() as usize)

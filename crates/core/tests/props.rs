@@ -15,10 +15,11 @@ use incdx_fault::{
 };
 use incdx_gen::{random_dag, RandomDagConfig};
 use incdx_netlist::{GateId, Netlist};
-use incdx_sim::{PackedMatrix, Response, Simulator, BLOCK_WORDS};
+use incdx_sim::{PackedBits, PackedMatrix, Response, Simulator, BLOCK_WORDS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::IndexedRandom;
+use rand::{RngExt, SeedableRng};
 
 fn dag(seed: u64) -> Netlist {
     random_dag(
@@ -729,6 +730,104 @@ proptest! {
             }
         }
     }
+}
+
+/// Every candidate `enumerate_corrections` gives `line` under either
+/// model, with every gate outside the line's fanout cone as a wire
+/// source.
+fn every_correction(netlist: &Netlist, line: GateId) -> Vec<Correction> {
+    let cone = netlist.fanout_cone(line);
+    let sources: Vec<GateId> = netlist
+        .ids()
+        .filter(|s| !cone.contains(s.index()))
+        .collect();
+    [CorrectionModel::StuckAt, CorrectionModel::DesignErrors]
+        .into_iter()
+        .flat_map(|model| enumerate_corrections(netlist, line, model, &sources))
+        .collect()
+}
+
+/// The premise of the pipeline's last-slot rule: a single correction on a
+/// line that path-trace leaves unmarked on some traced vector never
+/// repairs every traced vector. On random DAGs with XOR gates, a design
+/// gets 1–2 random corrections of either model and is diagnosed against
+/// the original's responses. For every path-trace cap and every line
+/// whose mark count is below the traced count, each candidate of either
+/// model is applied and resimulated from scratch, and some traced vector
+/// must still fail. The test fails if no case checks such a line.
+#[test]
+fn a_line_unmarked_on_a_traced_vector_repairs_no_single_correction() {
+    let shape = RandomDagConfig {
+        inputs: 6,
+        gates: 30,
+        outputs: 4,
+        max_fanin: 3,
+        xor_fraction: 0.3,
+        window: 12,
+    };
+    let mut lines_checked = 0usize;
+    for case in 0..48u64 {
+        let golden = random_dag(&shape, case);
+        let mut rng = StdRng::seed_from_u64(case ^ 0x5107);
+        let mut design = golden.clone();
+        for _ in 0..rng.random_range(1..3usize) {
+            let line = GateId::from_index(rng.random_range(0..design.len()));
+            let candidates = every_correction(&design, line);
+            if let Some(c) = candidates.choose(&mut rng) {
+                // A refused correction leaves the design as it was.
+                let _ = c.apply(&mut design);
+            }
+        }
+        let vectors = [1usize, 7, 100, 200][case as usize % 4];
+        let pi = PackedMatrix::random(golden.inputs().len(), vectors, &mut rng);
+        let mut sim = Simulator::new();
+        let spec = Response::capture(&golden, &sim.run(&golden, &pi));
+        let vals = sim.run_for_inputs(&design, golden.inputs(), &pi);
+        let response = Response::compare(&design, &vals, &spec);
+        if response.matches() {
+            continue;
+        }
+        let failing: Vec<usize> = response.failing_vectors().iter_ones().collect();
+        // Each line's candidates, replayed once: their failing rows.
+        let mut replays: Vec<Option<Vec<(Correction, PackedBits)>>> = vec![None; design.len()];
+        for cap in [1usize, 3, 32, usize::MAX] {
+            let counts = path_trace_counts_batched(&design, &vals, &response, &spec, cap);
+            let traced = &failing[..cap.min(failing.len())];
+            for line in design.ids() {
+                if counts[line.index()] as usize >= traced.len() {
+                    continue;
+                }
+                lines_checked += 1;
+                let rows = replays[line.index()].get_or_insert_with(|| {
+                    every_correction(&design, line)
+                        .into_iter()
+                        .filter_map(|c| {
+                            let mut fixed = design.clone();
+                            c.apply(&mut fixed).ok()?;
+                            let after = sim.run_for_inputs(&fixed, golden.inputs(), &pi);
+                            let row = Response::compare(&fixed, &after, &spec)
+                                .failing_vectors()
+                                .clone();
+                            Some((c, row))
+                        })
+                        .collect()
+                });
+                for (c, row) in rows.iter() {
+                    assert!(
+                        traced.iter().any(|&v| row.get(v)),
+                        "case {case}, cap {cap}: {c} on a line marked on {} of {} traced \
+                         vectors repairs all of them",
+                        counts[line.index()],
+                        traced.len()
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        lines_checked > 0,
+        "no case had a line below the traced count"
+    );
 }
 
 /// An [`Evaluator`] decorator that counts `prepare` calls and forwards

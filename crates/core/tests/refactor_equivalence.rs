@@ -2,9 +2,11 @@
 //! (Traversal + Evaluator + CandidatePipeline) with its default policy is
 //! **bit-identical** to the frozen pre-refactor monolith in `legacy/` —
 //! same solutions in the same order and the same search counters; only
-//! wall-clock timers, worker telemetry and simulation effort may differ. A second
-//! property pins the alternative traversal strategies to the same
-//! *solution set* as the default on exhaustive diagnosis.
+//! wall-clock timers, worker telemetry and simulation effort may differ.
+//! The oracle runs with the engine's last-slot rule for that; run without
+//! it, it pins the rule to the pre-rule solution sets. A last property
+//! pins the alternative traversal strategies to the same *solution set*
+//! as the default on exhaustive diagnosis.
 
 mod legacy;
 
@@ -152,7 +154,9 @@ proptest! {
     /// The refactored default engine (RoundRobinBfs + Incremental) is
     /// bit-identical to the pre-refactor monolith across the config
     /// matrix the old engine supported: DEDC/exhaustive, incremental
-    /// on/off, serial/parallel screening.
+    /// on/off, serial/parallel screening, and node caps small enough to
+    /// bind, where the engine closes capped children from their
+    /// parent's scores and the monolith prepares them.
     #[test]
     fn refactored_default_is_bit_identical_to_legacy(
         seed in 0u64..60,
@@ -172,18 +176,58 @@ proptest! {
         let mut from_scratch = RectifyConfig::dedc(2);
         from_scratch.incremental = false;
         configs.push(from_scratch);
+        for max_nodes in [2, 5, 9] {
+            for mut capped in [RectifyConfig::stuck_at_exhaustive(faults), RectifyConfig::dedc(2)] {
+                capped.max_nodes = max_nodes;
+                configs.push(capped);
+            }
+        }
         for config in configs {
             let old = LegacyRectifier::new(
                 golden.clone(),
                 pi.clone(),
                 device.clone(),
                 config.clone(),
+                true,
             )
             .run();
             let new = Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
                 .expect("well-formed workload")
                 .run();
             assert_stats_identical(&old, &new);
+        }
+    }
+
+    /// The last-slot rule loses no solution: wherever the pre-rule
+    /// oracle finishes an exhaustive search, the engine finishes it too,
+    /// with the same solution set.
+    #[test]
+    fn last_slot_rule_keeps_every_finished_solution_set(
+        seed in 0u64..60,
+        pick in 0usize..1000,
+        faults in 1usize..3,
+    ) {
+        let Some((golden, pi, device)) = workload(seed, pick, faults) else {
+            return Ok(());
+        };
+        for k in [1, 2] {
+            let config = RectifyConfig::stuck_at_exhaustive(k);
+            let old = LegacyRectifier::new(
+                golden.clone(),
+                pi.clone(),
+                device.clone(),
+                config.clone(),
+                false,
+            )
+            .run();
+            if old.stats.truncated {
+                continue;
+            }
+            let new = Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
+                .expect("well-formed workload")
+                .run();
+            prop_assert!(!new.stats.truncated, "k = {}: the engine hit a budget", k);
+            prop_assert_eq!(solution_set(&old), solution_set(&new), "k = {}", k);
         }
     }
 

@@ -11,10 +11,8 @@
 //! record is detected instead of silently diagnosing the wrong circuit.
 
 use incdx_core::json::Json;
-use incdx_core::{json_fields, netlist_fingerprint, RectifyConfig, Solution};
-use incdx_fault::{
-    inject_design_errors, inject_stuck_at_faults, CorrectionAction, InjectionConfig,
-};
+use incdx_core::{json_fields, netlist_fingerprint, RectifyConfig};
+use incdx_fault::{inject_design_errors, inject_stuck_at_faults, InjectionConfig};
 use incdx_netlist::{parse_bench, scan_convert, Netlist};
 use incdx_sim::{PackedMatrix, Response, Simulator};
 use rand::rngs::StdRng;
@@ -292,41 +290,9 @@ pub fn build_workload(spec: &JobSpec) -> Result<BuiltWorkload, String> {
     }
 }
 
-/// Order-independent fingerprint of a solution set, used to assert that
-/// a crash-interrupted, resumed job reached exactly the solutions an
-/// uninterrupted run finds. Each solution's corrections are serialized
-/// canonically (sorted), the solution strings are sorted, and the whole
-/// list is FNV-hashed.
-pub fn solution_fingerprint(solutions: &[Solution]) -> u64 {
-    let mut keys: Vec<String> = solutions
-        .iter()
-        .map(|s| {
-            let mut parts: Vec<String> = s.corrections.iter().map(correction_key).collect();
-            parts.sort();
-            parts.join("+")
-        })
-        .collect();
-    keys.sort();
-    fnv64(keys.join("|").as_bytes())
-}
-
-fn correction_key(c: &incdx_fault::Correction) -> String {
-    let line = c.line().index();
-    match c.action() {
-        CorrectionAction::SetConst(v) => format!("{line}:const:{v}"),
-        CorrectionAction::ChangeKind(kind) => format!("{line}:kind:{}", kind.token()),
-        CorrectionAction::InvertInput { port } => format!("{line}:inv:{port}"),
-        CorrectionAction::RemoveInput { port } => format!("{line}:rm:{port}"),
-        CorrectionAction::AddInput { source } => format!("{line}:add:{}", source.index()),
-        CorrectionAction::ReplaceInput { port, source } => {
-            format!("{line}:rep:{port}:{}", source.index())
-        }
-        CorrectionAction::WireThrough { port } => format!("{line}:wire:{port}"),
-        CorrectionAction::InsertGate { kind, other } => {
-            format!("{line}:ins:{}:{}", kind.token(), other.index())
-        }
-    }
-}
+/// The order-independent solution-set fingerprint, re-exported from the
+/// engine, which also reports it as `solutions_fp`.
+pub use incdx_core::solution_fingerprint;
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -512,7 +478,8 @@ mod tests {
 
     #[test]
     fn solution_fingerprint_is_order_independent() {
-        use incdx_fault::Correction;
+        use incdx_core::Solution;
+        use incdx_fault::{Correction, CorrectionAction};
         use incdx_netlist::GateId;
         let c1 = Correction::new(GateId(3), CorrectionAction::SetConst(true));
         let c2 = Correction::new(GateId(7), CorrectionAction::InvertInput { port: 1 });

@@ -136,8 +136,8 @@ pub fn submit_line(
 }
 
 /// The giant multi-slice workload used by the preemption/recovery
-/// tests: c432a under exhaustive double-stuck-at diagnosis runs a few
-/// thousand decision-tree nodes, so a small DRR quantum dices it into
+/// tests: c432a under exhaustive double-stuck-at diagnosis runs 1,633
+/// decision-tree nodes, so a small DRR quantum (50 nodes) dices it into
 /// dozens of checkpointed slices.
 pub fn giant_spec() -> JobSpec {
     JobSpec {

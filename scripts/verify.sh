@@ -76,11 +76,11 @@ out="$(cargo run -p incdx-bench --release --bin table2 -- \
 echo "$out" | grep -q '"report":"rectify"' \
     || { echo "table2 emitted no RectifyReport JSON" >&2; exit 1; }
 
-# Reduces a run's JSON records to sorted "label solutions distinct_sites"
-# lines — the solution-set fingerprint the resilience smokes compare.
+# Reduces a run's JSON records to sorted "label solutions distinct_sites
+# solutions_fp" lines — the solution sets the resilience smokes compare.
 solution_set() {
     grep '"report":"rectify"' \
-        | sed -E 's/.*"label":"([^"]*)".*"solutions":([0-9]+),"distinct_sites":([0-9]+).*/\1 \2 \3/' \
+        | sed -E 's/.*"label":"([^"]*)".*"solutions":([0-9]+),"distinct_sites":([0-9]+),"solutions_fp":([0-9]+).*/\1 \2 \3 \4/' \
         | sort
 }
 

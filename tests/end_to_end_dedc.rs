@@ -103,15 +103,15 @@ fn budgeted_triple_error_counters_are_pinned() {
         (
             "c432a",
             1,
-            "nodes=10 rounds=3 screened=59621 qualified=2988 rejected_h2=54498 \
-             rejected_h3=2135 lines_rejected_h1=145 candidates_truncated=2654 verdict=exact \
+            "nodes=10 rounds=3 screened=46867 qualified=2934 rejected_h2=41948 \
+             rejected_h3=1985 lines_rejected_h1=116 candidates_truncated=2648 verdict=exact \
              solutions=[n112 := AND; n75: add input n97; n62: remove input port 2]",
         ),
         (
             "c880a",
             1,
-            "nodes=16 rounds=12 screened=4754 qualified=149 rejected_h2=4345 \
-             rejected_h3=260 lines_rejected_h1=266 candidates_truncated=98 \
+            "nodes=16 rounds=12 screened=3822 qualified=149 rejected_h2=3417 \
+             rejected_h3=256 lines_rejected_h1=87 candidates_truncated=98 \
              verdict=budget-exhausted solutions=",
         ),
         (
