@@ -312,27 +312,38 @@ impl Incremental {
     /// then the corrected line, then propagate change-bounded through
     /// its fanout cone. Returns `false` when the correction does not
     /// apply.
+    ///
+    /// A constant ties the line in place ([`Netlist::tie`]), which hands
+    /// back the cone it re-levelled, so the cone is walked once per
+    /// correction.
     fn apply_and_propagate(
         &mut self,
         netlist: &mut Netlist,
         vals: &mut PackedMatrix,
         c: &Correction,
     ) -> bool {
-        let rows_before = netlist.len();
-        if c.apply(netlist).is_err() {
-            return false;
-        }
-        if netlist.len() > rows_before {
-            // Appended gates (an InvertInput NOT, an InsertGate aux gate)
-            // read only pre-existing lines and feed only the corrected
-            // line: evaluate them once, in id order.
-            vals.grow_rows(netlist.len());
-            for idx in rows_before..netlist.len() {
-                self.sim.eval_gate(netlist, GateId::from_index(idx), vals);
+        let cone = if let Some(value) = c.as_stuck_at() {
+            match netlist.tie(c.line(), value) {
+                Ok(cone) => cone,
+                Err(_) => return false,
             }
-        }
+        } else {
+            let rows_before = netlist.len();
+            if c.apply(netlist).is_err() {
+                return false;
+            }
+            if netlist.len() > rows_before {
+                // Appended gates (an InvertInput NOT, an InsertGate aux
+                // gate) read only pre-existing lines and feed only the
+                // corrected line: evaluate them once, in id order.
+                vals.grow_rows(netlist.len());
+                for idx in rows_before..netlist.len() {
+                    self.sim.eval_gate(netlist, GateId::from_index(idx), vals);
+                }
+            }
+            netlist.fanout_cone_sorted(c.line())
+        };
         self.sim.eval_gate(netlist, c.line(), vals);
-        let cone = netlist.fanout_cone_sorted(c.line());
         self.sim.run_cone_events(netlist, vals, &cone);
         true
     }

@@ -344,7 +344,7 @@ impl<'a> CandidatePipeline<'a> {
             || (Simulator::new(), vals.clone(), Vec::<u64>::new()),
             |(sim, vals, saved), i| {
                 if cancel.is_cancelled() {
-                    return (Vec::new(), 0, 0, 0);
+                    return (Sensitivity::default(), 0, 0, 0);
                 }
                 if let Some((chaos, section)) = &chaos {
                     chaos.maybe_panic(*section, i);
@@ -370,7 +370,7 @@ impl<'a> CandidatePipeline<'a> {
             // Count rectified erroneous (vector, PO) bits.
             let rectified: usize = flips
                 .iter()
-                .flat_map(|(po_idx, s)| mismatch[*po_idx].iter().zip(s))
+                .flat_map(|(po_idx, s)| mismatch[po_idx].iter().zip(s))
                 .map(|(m, s)| (m & s).count_ones() as usize)
                 .sum();
             scored.push(ScoredLine {
@@ -1087,8 +1087,8 @@ impl FlipMasks {
                 }
             }
         }
-        for (po_idx, s) in flips {
-            for ((f, &m), &s) in fail.iter_mut().zip(&mismatch[*po_idx]).zip(s) {
+        for (po_idx, s) in flips.iter() {
+            for ((f, &m), &s) in fail.iter_mut().zip(&mismatch[po_idx]).zip(s) {
                 *f |= m ^ s;
             }
         }
@@ -1139,8 +1139,27 @@ struct ScoredLine {
 
 /// One line's sensitivity masks: `(PO index, S_po)` for every PO in the
 /// line's fanout cone, in [`Netlist::outputs`] order, where `S_po` holds
-/// the vectors on which that PO flips when the line's value flips.
-type Sensitivity = Vec<(usize, Vec<u64>)>;
+/// the vectors on which that PO flips when the line's value flips. The
+/// masks sit back to back in one word buffer, `wpr` words each, so a pass
+/// allocates two vectors however many POs its cone reaches.
+#[derive(Default)]
+struct Sensitivity {
+    po_idx: Vec<usize>,
+    masks: Vec<u64>,
+    wpr: usize,
+}
+
+impl Sensitivity {
+    /// `(PO index, S_po)` pairs, in [`Netlist::outputs`] order. (The
+    /// chunk width is at least 1 so that a cancelled task's empty
+    /// default, with `wpr` 0, yields nothing.)
+    fn iter(&self) -> impl Iterator<Item = (usize, &[u64])> {
+        self.po_idx
+            .iter()
+            .copied()
+            .zip(self.masks.chunks_exact(self.wpr.max(1)))
+    }
+}
 
 /// The sensitivity pass: complements `line`'s row on every vector,
 /// propagates the change once through its fanout `cone`
@@ -1161,13 +1180,14 @@ fn sensitivity(
     saved: &mut Vec<u64>,
 ) -> Sensitivity {
     let wpr = vals.words_per_row();
-    let mut flips: Sensitivity = netlist
-        .outputs()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &po)| cone.contains(po))
-        .map(|(po_idx, &po)| (po_idx, vals.row(po.index()).to_vec()))
+    let po_idx: Vec<usize> = (0..netlist.outputs().len())
+        .filter(|&i| cone.contains(netlist.outputs()[i]))
         .collect();
+    let mut masks = Vec::with_capacity(po_idx.len() * wpr);
+    for &i in &po_idx {
+        masks.extend_from_slice(vals.row(netlist.outputs()[i].index()));
+    }
+    let mut flips = Sensitivity { po_idx, masks, wpr };
     saved.clear();
     for &g in cone.sorted() {
         saved.extend_from_slice(vals.row(g.index()));
@@ -1176,8 +1196,12 @@ fn sensitivity(
         *w = !*w;
     }
     sim.run_cone_events(netlist, vals, cone.sorted());
-    for (po_idx, s) in &mut flips {
-        let after = vals.row(netlist.outputs()[*po_idx].index());
+    for (&po_idx, s) in flips
+        .po_idx
+        .iter()
+        .zip(flips.masks.chunks_exact_mut(wpr.max(1)))
+    {
+        let after = vals.row(netlist.outputs()[po_idx].index());
         for (s, &a) in s.iter_mut().zip(after) {
             *s ^= a;
         }
@@ -1447,7 +1471,7 @@ mod tests {
                     let after = sim.run_for_inputs(&fixed, netlist.inputs(), &pi);
                     for (po_idx, &po) in netlist.outputs().iter().enumerate() {
                         let mut predicted = vals.row(po.index()).to_vec();
-                        if let Some((_, s)) = flips.iter().find(|(p, _)| *p == po_idx) {
+                        if let Some((_, s)) = flips.iter().find(|&(p, _)| p == po_idx) {
                             for w in 0..wpr {
                                 predicted[w] ^= (new_row[w] ^ cur[w]) & s[w];
                             }

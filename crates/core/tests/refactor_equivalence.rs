@@ -18,7 +18,7 @@ use incdx_sim::{PackedMatrix, Response, Simulator};
 use legacy::LegacyRectifier;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 fn dag(seed: u64) -> Netlist {
     random_dag(
@@ -34,32 +34,50 @@ fn dag(seed: u64) -> Netlist {
     )
 }
 
+/// Stuck-at picks a case tries, at most, before it fails.
+const MAX_PICKS: usize = 64;
+
 /// Builds a diagnosable (golden, vectors, device) workload with `faults`
-/// injected stuck-at faults, or `None` when the faults are not excited.
+/// stuck-at faults injected from `pick`. While a pick's faults do not
+/// apply or are not excited on the 128 vectors, the next pick is drawn
+/// from the case's own seed stream, [`MAX_PICKS`] picks in all; `None`
+/// means none was diagnosable, and the properties fail on it, so every
+/// case compares.
 fn workload(seed: u64, pick: usize, faults: usize) -> Option<(Netlist, PackedMatrix, Response)> {
     let golden = dag(seed);
-    let mut device_nl = golden.clone();
-    for f in 0..faults {
-        let line = GateId::from_index((pick + 13 * f) % golden.len());
-        if StuckAt::new(line, (pick + f).is_multiple_of(2))
-            .apply(&mut device_nl)
-            .is_err()
-        {
-            return None;
-        }
-    }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00E0_5EED);
     let pi = PackedMatrix::random(golden.inputs().len(), 128, &mut rng);
     let mut sim = Simulator::new();
-    let device = Response::capture(
-        &device_nl,
-        &sim.run_for_inputs(&device_nl, golden.inputs(), &pi),
-    );
     let vals = sim.run(&golden, &pi);
-    if Response::compare(&golden, &vals, &device).matches() {
-        return None; // not excited
+    let mut picks = StdRng::seed_from_u64((seed << 16) ^ pick as u64);
+    let mut pick = pick;
+    for _ in 0..MAX_PICKS {
+        let mut device_nl = golden.clone();
+        let applied = (0..faults).all(|f| {
+            let line = GateId::from_index((pick + 13 * f) % golden.len());
+            StuckAt::new(line, (pick + f).is_multiple_of(2))
+                .apply(&mut device_nl)
+                .is_ok()
+        });
+        if applied {
+            let device = Response::capture(
+                &device_nl,
+                &sim.run_for_inputs(&device_nl, golden.inputs(), &pi),
+            );
+            if !Response::compare(&golden, &vals, &device).matches() {
+                return Some((golden, pi, device));
+            }
+        }
+        pick = picks.random_range(0..1000);
     }
-    Some((golden, pi, device))
+    None
+}
+
+/// The property failure for a case [`workload`] found nothing to diagnose.
+fn undiagnosable(seed: u64, pick: usize, faults: usize) -> TestCaseError {
+    TestCaseError::fail(format!(
+        "seed {seed}, pick {pick}, {faults} faults: no excited pick in {MAX_PICKS} draws"
+    ))
 }
 
 /// Every counter that must agree between the legacy and refactored
@@ -164,7 +182,7 @@ proptest! {
         faults in 1usize..3,
     ) {
         let Some((golden, pi, device)) = workload(seed, pick, faults) else {
-            return Ok(());
+            return Err(undiagnosable(seed, pick, faults));
         };
         let mut configs = vec![
             RectifyConfig::dedc(2),
@@ -208,7 +226,7 @@ proptest! {
         faults in 1usize..3,
     ) {
         let Some((golden, pi, device)) = workload(seed, pick, faults) else {
-            return Ok(());
+            return Err(undiagnosable(seed, pick, faults));
         };
         for k in [1, 2] {
             let config = RectifyConfig::stuck_at_exhaustive(k);
@@ -241,7 +259,7 @@ proptest! {
         faults in 1usize..3,
     ) {
         let Some((golden, pi, device)) = workload(seed, pick, faults) else {
-            return Ok(());
+            return Err(undiagnosable(seed, pick, faults));
         };
         let run = |kind: TraversalKind| {
             let mut config = RectifyConfig::stuck_at_exhaustive(faults);

@@ -111,7 +111,11 @@ impl Correction {
     }
 
     /// Applies the rewrite. Existing gate ids stay stable (helper
-    /// inverters / inserted gates are appended).
+    /// inverters / inserted gates are appended). A constant ties the line
+    /// in place ([`Netlist::tie`]: the topological order is kept and only
+    /// the line's fanout cone is re-levelled); every other action goes
+    /// through [`Netlist::replace_gate`] or [`Netlist::append_gate`],
+    /// which rebuild the structure and its fresh topological order.
     ///
     /// # Errors
     ///
@@ -125,14 +129,7 @@ impl Correction {
             gate: GateId::from_index(port),
         };
         match self.action {
-            CorrectionAction::SetConst(v) => {
-                let k = if v {
-                    GateKind::Const1
-                } else {
-                    GateKind::Const0
-                };
-                netlist.replace_gate(self.line, k, Vec::new())
-            }
+            CorrectionAction::SetConst(v) => netlist.tie(self.line, v).map(drop),
             CorrectionAction::ChangeKind(new_kind) => {
                 netlist.replace_gate(self.line, new_kind, fanins)
             }

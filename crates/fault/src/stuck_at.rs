@@ -1,6 +1,6 @@
 use std::fmt;
 
-use incdx_netlist::{GateId, GateKind, Netlist, NetlistError};
+use incdx_netlist::{GateId, Netlist, NetlistError};
 
 /// A single stuck-at fault on a line (the paper's fault model for
 /// diagnosis: "either a stuck-at-0 or a stuck-at-1 fault model is used").
@@ -44,19 +44,16 @@ impl StuckAt {
         StuckAt::new(self.line, !self.value)
     }
 
-    /// Applies the fault to a netlist by rewriting the driving gate to a
-    /// constant. The line keeps its id; downstream readers are untouched.
+    /// Applies the fault to a netlist by tying the driving gate to a
+    /// constant in place ([`Netlist::tie`]). The line keeps its id and
+    /// downstream readers are untouched; the netlist keeps its
+    /// topological order, and only the line's fanout cone is re-levelled.
     ///
     /// # Errors
     ///
     /// Returns an error if the line id is out of range.
     pub fn apply(&self, netlist: &mut Netlist) -> Result<(), NetlistError> {
-        let kind = if self.value {
-            GateKind::Const1
-        } else {
-            GateKind::Const0
-        };
-        netlist.replace_gate(self.line, kind, Vec::new())
+        netlist.tie(self.line, self.value).map(drop)
     }
 }
 
@@ -69,7 +66,7 @@ impl fmt::Display for StuckAt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incdx_netlist::parse_bench;
+    use incdx_netlist::{parse_bench, GateKind};
 
     #[test]
     fn apply_rewrites_to_constant() {

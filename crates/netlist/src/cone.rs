@@ -64,24 +64,29 @@ impl ConeSet {
 /// Per-netlist memo of fanout cones, one write-once slot per gate id.
 ///
 /// A cache is bound to the netlist whose `len()` it was created with and
-/// must not be used after structural edits (`replace_gate`/`append_gate`
-/// rebuild fanouts, invalidating every cone) — build a fresh cache for the
-/// edited netlist instead. Entries are handed out as [`Arc<ConeSet>`] so
-/// screening workers can hold them without cloning the underlying vectors.
+/// must not be used after structural edits (`replace_gate`, `append_gate`
+/// and `tie` change fanouts, invalidating cones) — build a fresh cache
+/// for the edited netlist instead. Entries are handed out as
+/// [`Arc<ConeSet>`] so screening workers can hold them without cloning
+/// the underlying vectors.
 ///
-/// The cache fills on demand through a shared reference: a cone is
-/// computed on its first [`Self::get`], by whichever thread asks first,
-/// and every later lookup — from any thread — is a counted hit. A cone is
-/// a pure function of the netlist, so which thread computes it never
-/// shows in the results, and the hit count (lookups minus distinct stems
-/// computed) does not depend on thread timing either.
+/// The cache fills on demand through a shared reference. [`Self::new`]
+/// allocates nothing; the first [`Self::get`] builds the slot table, so a
+/// decision-tree node whose screening reads no cone pays for none. A cone
+/// is computed on its first [`Self::get`], by whichever thread asks
+/// first, and every later lookup — from any thread — is a counted hit. A
+/// cone is a pure function of the netlist, so which thread computes it
+/// never shows in the results, and the hit count (lookups minus distinct
+/// stems computed) does not depend on thread timing either.
 ///
 /// Cloning is cheap — populated slots are `Arc`s, so a clone shares
 /// every computed cone with the original (a warmed cache can be handed
 /// to each slice of a resumable session without recomputation).
 #[derive(Debug, Default)]
 pub struct ConeCache {
-    slots: Vec<OnceLock<Arc<ConeSet>>>,
+    // Built on the first `get`; `capacity` slots once built.
+    slots: OnceLock<Box<[OnceLock<Arc<ConeSet>>]>>,
+    capacity: usize,
     hits: AtomicU64,
 }
 
@@ -89,16 +94,19 @@ impl Clone for ConeCache {
     fn clone(&self) -> Self {
         ConeCache {
             slots: self.slots.clone(),
+            capacity: self.capacity,
             hits: AtomicU64::new(self.hits()),
         }
     }
 }
 
 impl ConeCache {
-    /// An empty cache sized for `netlist`.
+    /// An empty cache sized for `netlist`. Allocates nothing until the
+    /// first [`Self::get`].
     pub fn new(netlist: &Netlist) -> Self {
         ConeCache {
-            slots: vec![OnceLock::new(); netlist.len()],
+            slots: OnceLock::new(),
+            capacity: netlist.len(),
             hits: AtomicU64::new(0),
         }
     }
@@ -113,12 +121,15 @@ impl ConeCache {
     /// (the telltale of using a stale cache after a structural edit).
     pub fn get(&self, netlist: &Netlist, stem: GateId) -> Arc<ConeSet> {
         assert_eq!(
-            self.slots.len(),
+            self.capacity,
             netlist.len(),
             "cone cache bound to a different netlist"
         );
+        let slots = self
+            .slots
+            .get_or_init(|| vec![OnceLock::new(); self.capacity].into_boxed_slice());
         let mut computed = false;
-        let cone = self.slots[stem.index()].get_or_init(|| {
+        let cone = slots[stem.index()].get_or_init(|| {
             computed = true;
             Arc::new(ConeSet::compute(netlist, stem))
         });
@@ -141,12 +152,14 @@ impl ConeCache {
 
     /// Number of stems whose cone has been computed and memoized.
     pub fn populated(&self) -> usize {
-        self.slots.iter().filter(|s| s.get().is_some()).count()
+        self.slots.get().map_or(0, |slots| {
+            slots.iter().filter(|s| s.get().is_some()).count()
+        })
     }
 
     /// Capacity in stems (the gate count of the bound netlist).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 }
 
@@ -182,6 +195,7 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         let n = parse_bench(C17).unwrap();
         let stem = n.find_by_name("11").unwrap();
         let mut cache = ConeCache::new(&n);
+        assert_eq!((cache.populated(), cache.capacity()), (0, n.len()));
         let a = cache.get(&n, stem);
         assert_eq!(cache.hits(), 0);
         let b = cache.get(&n, stem);

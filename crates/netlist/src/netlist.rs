@@ -5,23 +5,39 @@
 //! answer to a structural query:
 //!
 //! * **Fanins** are one `Arc<[GateId]>` per gate. A clone shares every
-//!   list; [`Netlist::replace_gate`] swaps in a new list for the one gate
-//!   it rewrites.
+//!   list; an edit swaps in a new list for the one gate it rewrites.
 //! * **Fanouts** are one flat id array with per-line start offsets
-//!   (compressed sparse row), refilled by a counting sort on every edit.
-//!   Each line's readers come out in ascending id order.
+//!   (compressed sparse row). Each line's readers are in ascending id
+//!   order.
 //! * **Names** are one table behind an `Arc`, shared by clones and copied
 //!   only by [`Netlist::set_name`]. Ids past its end read as unnamed, so
 //!   [`Netlist::append_gate`] leaves it alone.
-//! * **Topological order and levels** are recomputed by a full Kahn pass
-//!   on every edit, seeded with the zero in-degree gates in id order. The
-//!   order therefore depends only on the structure, never on the edits
-//!   that produced it: callers that walk [`Netlist::topo_order`] while
-//!   editing (the area optimiser does) see the same order as on a netlist
-//!   built from scratch, and so do the engine's counters and solutions.
+//! * **Topological order and levels.** [`Netlist::replace_gate`] and
+//!   [`Netlist::append_gate`] refill the fanouts by a counting sort and
+//!   recompute the order and levels by a full Kahn pass, seeded with the
+//!   zero in-degree gates in id order. Their order therefore depends only
+//!   on the structure: it is the order a netlist built from the same
+//!   parts gets. [`Netlist::tie`] only removes edges, so it keeps the
+//!   current order (removing edges leaves any topological order valid)
+//!   and recomputes levels over the tied line's fanout cone alone; after
+//!   a tie the order may differ from the fresh one.
 //!
 //! A clone therefore copies a few flat arrays and bumps one reference
 //! count per gate; neither a clone nor an edit allocates per gate.
+//!
+//! No engine result depends on which topological order a netlist holds.
+//! The engine reads a node's order in three places: the batched
+//! path-trace's reverse pass, [`ConeSet`](crate::ConeSet)'s sort, and the
+//! change-bounded cone walks (dense and sparse). Every topological order
+//! gives them the same marks, values and counters. A cone walk
+//! re-evaluates a gate exactly when one of its fanins changed, and every
+//! fanin is final before the walk reaches its reader. The reverse pass
+//! reaches a gate only after all of its readers, so the gate's marks are
+//! final before the pass reaches any of its fanins. The area optimiser
+//! walks [`Netlist::topo_order`] only in passes that decide each gate from
+//! its already-decided fanins and rebuild through the builder; its one
+//! in-place edit, a stuck-at tie in redundancy removal, is followed by
+//! such a rebuilding pass.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,9 +53,10 @@ use crate::gate::{Gate, GateId, GateKind};
 /// maintained automatically across mutations, so queries are always
 /// consistent with the current structure.
 ///
-/// Construct via [`Netlist::builder`]; mutate via [`Netlist::replace_gate`]
-/// and [`Netlist::append_gate`], which preserve the ids of existing gates
-/// (the property the incremental rectification engine relies on).
+/// Construct via [`Netlist::builder`]; mutate via [`Netlist::replace_gate`],
+/// [`Netlist::append_gate`] and [`Netlist::tie`], which preserve the ids of
+/// existing gates (the property the incremental rectification engine
+/// relies on).
 ///
 /// # Example
 ///
@@ -69,8 +86,9 @@ pub struct Netlist {
     names: Arc<Vec<Option<String>>>,
     inputs: Vec<GateId>,
     outputs: Vec<GateId>,
-    // Caches, rebuilt by `rebuild`. The readers of line `i` are
-    // `fanout_ids[fanout_start[i]..fanout_start[i + 1]]`, in id order.
+    // Caches, rebuilt by `rebuild` and patched by `tie`. The readers of
+    // line `i` are `fanout_ids[fanout_start[i]..fanout_start[i + 1]]`, in
+    // id order.
     fanout_start: Vec<u32>,
     fanout_ids: Vec<GateId>,
     topo: Vec<GateId>,
@@ -311,6 +329,99 @@ impl Netlist {
         g.set_fanins(fanins);
         self.rebuild();
         Ok(())
+    }
+
+    /// Ties line `id` to a constant in place: the gate becomes
+    /// [`GateKind::Const1`] (`value`) or [`GateKind::Const0`] with no
+    /// fanins, and every id stays stable. Stuck-at faults and constant
+    /// corrections are applied this way.
+    ///
+    /// A tie only removes edges, so its work follows `id`'s fanout cone,
+    /// not the netlist: `id` leaves each old fanin's reader list (the
+    /// other readers keep ascending id order) and, if it was a primary
+    /// input, [`Self::inputs`]; levels are recomputed over its fanout cone
+    /// in topological order; and the current topological order is kept,
+    /// since removing edges leaves any topological order valid. Unlike
+    /// [`Self::replace_gate`], the order afterwards may differ from the
+    /// fresh one a netlist rebuilt from the same parts gets (the module
+    /// doc says why no engine result depends on it). A netlist that is
+    /// not acyclic takes the full rebuild instead.
+    ///
+    /// Returns `id`'s fanout cone in topological order, stem first (what
+    /// [`Self::fanout_cone_sorted`] now returns): the lines whose values
+    /// the tie can change, in the order a resimulation visits them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::UnknownGate`] — and leaves the netlist
+    /// unchanged — if `id` is out of range.
+    pub fn tie(&mut self, id: GateId, value: bool) -> Result<Vec<GateId>, NetlistError> {
+        let n = self.len();
+        if id.index() >= n {
+            return Err(NetlistError::UnknownGate { gate: id });
+        }
+        let gate = &mut self.gates[id.index()];
+        let was_input = gate.kind() == GateKind::Input;
+        let first_fanin = gate
+            .fanins()
+            .iter()
+            .map(|f| f.index())
+            .filter(|&f| f < n)
+            .min();
+        gate.set_kind(if value {
+            GateKind::Const1
+        } else {
+            GateKind::Const0
+        });
+        gate.set_fanins(Vec::new());
+        if !self.acyclic {
+            self.rebuild();
+            return Ok(self.fanout_cone_sorted(id));
+        }
+        let Netlist {
+            inputs,
+            fanout_start,
+            fanout_ids,
+            ..
+        } = self;
+        if let Some(first) = first_fanin {
+            // `id` is listed only among its old fanins' readers: compact
+            // the flat array from the first of them on, moving each later
+            // line's start offset down past the removed entries.
+            let mut kept = fanout_start[first] as usize;
+            for line in first..n {
+                let (start, end) = (fanout_start[line] as usize, fanout_start[line + 1] as usize);
+                fanout_start[line] = kept as u32;
+                for k in start..end {
+                    let reader = fanout_ids[k];
+                    if reader != id {
+                        fanout_ids[kept] = reader;
+                        kept += 1;
+                    }
+                }
+            }
+            fanout_start[n] = kept as u32;
+            fanout_ids.truncate(kept);
+        }
+        if was_input {
+            inputs.retain(|&pi| pi != id);
+        }
+        let cone = self.fanout_cone_sorted(id);
+        // Only the cone's fanin edges changed, and a cone member's fanins
+        // precede it in the order: one pass in that order settles every
+        // level (cone members are never DFFs, whose level stays 0).
+        let Netlist { gates, levels, .. } = self;
+        levels[id.index()] = 0;
+        for &g in &cone[1..] {
+            levels[g.index()] = gates[g.index()]
+                .fanins()
+                .iter()
+                .filter(|f| f.index() < n)
+                .map(|f| levels[f.index()] + 1)
+                .max()
+                .unwrap_or(0);
+        }
+        Ok(cone)
     }
 
     /// Appends a new gate, returning its id. Existing ids are unchanged.
@@ -780,6 +891,29 @@ mod tests {
             .replace_gate(GateId(3), GateKind::Not, vec![GateId(0), GateId(1)])
             .unwrap_err();
         assert!(matches!(err, NetlistError::BadArity { .. }));
+    }
+
+    #[test]
+    fn tie_keeps_the_order_and_relevels_the_cone() {
+        let mut n = tiny();
+        let order = n.topo_order().to_vec();
+        let cone = n.tie(GateId(3), true).unwrap();
+        assert_eq!(cone, vec![GateId(3), GateId(5)]);
+        assert_eq!(n.gate(GateId(3)).kind(), GateKind::Const1);
+        assert!(n.fanouts(GateId(0)).is_empty());
+        assert_eq!(n.fanouts(GateId(1)), &[GateId(4)]);
+        assert_eq!((n.level(GateId(3)), n.level(GateId(5))), (0, 2));
+        assert_eq!(n.topo_order(), order.as_slice());
+        // A tied primary input leaves the input list.
+        n.tie(GateId(2), false).unwrap();
+        assert_eq!(n.inputs(), &[GateId(0), GateId(1)]);
+        n.tie(GateId(4), false).unwrap();
+        assert_eq!(n.level(GateId(5)), 1);
+        assert_eq!(n.topo_order(), order.as_slice());
+        assert!(matches!(
+            n.tie(GateId(9), false),
+            Err(NetlistError::UnknownGate { .. })
+        ));
     }
 
     #[test]

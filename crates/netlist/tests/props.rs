@@ -5,7 +5,10 @@ use incdx_netlist::{
     expand_xor_to_nand, parse_bench, write_bench, Abstraction, DenseBitSet, Gate, GateId, GateKind,
     Netlist, NetlistError,
 };
+use incdx_sim::{PackedMatrix, Simulator};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Strategy: a valid random combinational netlist description
 /// (kind + fanin indices strictly below the gate's own index).
@@ -73,6 +76,63 @@ fn answers(n: &Netlist) -> Answers {
         levels: n.ids().map(|id| n.level(id)).collect(),
         acyclic: n.is_acyclic(),
     }
+}
+
+/// The structural answers that do not depend on which topological order
+/// a netlist holds: everything in [`Answers`] but the order itself.
+#[derive(Debug, PartialEq)]
+struct Structure {
+    gates: Vec<Gate>,
+    inputs: Vec<GateId>,
+    outputs: Vec<GateId>,
+    fanouts: Vec<Vec<GateId>>,
+    levels: Vec<u32>,
+    max_level: u32,
+    acyclic: bool,
+}
+
+fn structure(n: &Netlist) -> Structure {
+    Structure {
+        gates: n.ids().map(|id| n.gate(id).clone()).collect(),
+        inputs: n.inputs().to_vec(),
+        outputs: n.outputs().to_vec(),
+        fanouts: n.ids().map(|id| n.fanouts(id).to_vec()).collect(),
+        levels: n.ids().map(|id| n.level(id)).collect(),
+        max_level: n.max_level(),
+        acyclic: n.is_acyclic(),
+    }
+}
+
+/// Checks that `n.topo_order()` is a permutation of the gates in which
+/// every fanin precedes its reader (a DFF's fanin edge is sequential and
+/// exempt), and that `topo_position` inverts it.
+fn check_topo_order(n: &Netlist) -> Result<(), TestCaseError> {
+    let topo = n.topo_order();
+    prop_assert_eq!(topo.len(), n.len());
+    for (pos, &id) in topo.iter().enumerate() {
+        prop_assert_eq!(n.topo_position(id), pos, "topo_position inverts topo_order");
+    }
+    for (id, g) in n.iter() {
+        if g.kind() == GateKind::Dff {
+            continue;
+        }
+        for &f in g.fanins() {
+            prop_assert!(
+                n.topo_position(f) < n.topo_position(id),
+                "fanin {} must precede {}",
+                f,
+                id
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A netlist rebuilt from `n`'s parts: the fresh order, fanouts and levels.
+fn rebuilt(n: &Netlist) -> Netlist {
+    let parts: Vec<Gate> = n.ids().map(|id| n.gate(id).clone()).collect();
+    let names = n.ids().map(|id| n.name(id).map(str::to_string)).collect();
+    Netlist::from_parts_unchecked(parts, names, n.outputs().to_vec())
 }
 
 /// Kinds an edit may write (no DFFs: the random netlists have none).
@@ -194,22 +254,32 @@ proptest! {
         }
     }
 
-    /// Random `replace_gate`, `append_gate` and `set_name` sequences on a
-    /// clone. A rejected edit changes nothing; `replace_gate` reports a
-    /// cycle exactly when a new fanin lies in the gate's fanout cone;
-    /// after every edit the clone answers like a netlist rebuilt from its
-    /// parts; and the source, which shares storage with the clone, answers
-    /// as before.
+    /// Random `replace_gate`, `append_gate`, `tie` and `set_name`
+    /// sequences on a clone. A rejected edit changes nothing;
+    /// `replace_gate` reports a cycle exactly when a new fanin lies in the
+    /// gate's fanout cone. After every step the clone has the structure,
+    /// levels and simulated rows of a netlist rebuilt from its parts, and
+    /// holds a valid topological order. `replace_gate` and `append_gate`
+    /// give the rebuild's fresh order, so after them (until the next
+    /// `tie`) every answer is the rebuild's. `tie` keeps the order it
+    /// found. Ties land on any gate (XOR gates, stems, gates with
+    /// duplicate fanins), on the source's primary inputs and outputs, and
+    /// on already tied lines. The source, which shares storage with the
+    /// clone, answers as before.
     #[test]
     fn replace_gate_never_corrupts_on_error(
         n in arb_netlist(),
         edits in prop::collection::vec(
-            (0usize..4, 0usize..1000, 0usize..EDIT_KINDS.len(), prop::collection::vec(0usize..1000, 1..4)),
+            (0usize..5, 0usize..1000, 0usize..EDIT_KINDS.len(), prop::collection::vec(0usize..1000, 1..4)),
             1..12,
         ),
+        seed in 0u64..1_000,
     ) {
         let source = answers(&n);
         let mut m = n.clone();
+        let mut fresh_order = true;
+        let mut sim = Simulator::new();
+        let mut rng = StdRng::seed_from_u64(seed);
         for (step, (op, target, kind, picks)) in edits.into_iter().enumerate() {
             let len = m.len();
             let before = answers(&m);
@@ -260,21 +330,69 @@ proptest! {
                     prop_assert_eq!(id, Ok(GateId::from_index(len)));
                     true
                 }
-                _ => {
+                3 => {
                     m.set_name(t, Some(format!("e{step}")));
+                    true
+                }
+                _ => {
+                    let sites = match picks[0] % 3 {
+                        0 => n.inputs(),
+                        1 => n.outputs(),
+                        _ => &[t][..],
+                    };
+                    let site = sites[target % sites.len()];
+                    let value = picks[0] % 2 == 0;
+                    let order = m.topo_order().to_vec();
+                    let cone = m.tie(site, value).expect("in range");
+                    let want = if value { GateKind::Const1 } else { GateKind::Const0 };
+                    prop_assert_eq!(m.gate(site).kind(), want);
+                    prop_assert!(m.gate(site).fanins().is_empty());
+                    prop_assert_eq!(m.topo_order(), &order[..], "a tie keeps the order");
+                    prop_assert_eq!(cone, m.fanout_cone_sorted(site));
                     true
                 }
             };
             if !accepted {
                 prop_assert_eq!(answers(&m), before);
+            } else if op == 4 {
+                fresh_order = false;
+            } else if op < 3 {
+                fresh_order = true;
             }
-            let parts: Vec<Gate> = m.ids().map(|id| m.gate(id).clone()).collect();
-            let names = m.ids().map(|id| m.name(id).map(str::to_string)).collect();
-            let rebuilt = Netlist::from_parts_unchecked(parts, names, m.outputs().to_vec());
-            prop_assert_eq!(answers(&m), answers(&rebuilt));
+            let rebuilt = rebuilt(&m);
+            if fresh_order {
+                prop_assert_eq!(answers(&m), answers(&rebuilt));
+            }
+            prop_assert_eq!(structure(&m), structure(&rebuilt));
+            check_topo_order(&m)?;
+            let pi = PackedMatrix::random(m.inputs().len(), 100, &mut rng);
+            prop_assert!(sim.run(&m, &pi) == sim.run(&rebuilt, &pi), "simulated rows");
             prop_assert!(m.is_acyclic());
         }
         prop_assert_eq!(answers(&n), source);
+    }
+
+    /// A tie on a netlist that is not acyclic takes the full rebuild: a
+    /// tie that breaks the only cycle leaves an acyclic netlist in the
+    /// fresh order, and one beside the cycle leaves it cyclic. Either way
+    /// every answer is the rebuild's.
+    #[test]
+    fn tie_on_a_cyclic_netlist_rebuilds(value in prop::bool::ANY, on_cycle in prop::bool::ANY) {
+        // a, b inputs; g2 = AND(a, g3), g3 = OR(g2, b): a 2-cycle; g4 = NOT(b).
+        let gates = vec![
+            Gate::new(GateKind::Input, vec![]),
+            Gate::new(GateKind::Input, vec![]),
+            Gate::new(GateKind::And, vec![GateId(0), GateId(3)]),
+            Gate::new(GateKind::Or, vec![GateId(2), GateId(1)]),
+            Gate::new(GateKind::Not, vec![GateId(1)]),
+        ];
+        let mut m = Netlist::from_parts_unchecked(gates, Vec::new(), vec![GateId(3), GateId(4)]);
+        prop_assert!(!m.is_acyclic());
+        let site = if on_cycle { GateId(2) } else { GateId(4) };
+        let cone = m.tie(site, value).expect("in range");
+        prop_assert_eq!(m.is_acyclic(), on_cycle);
+        prop_assert_eq!(answers(&m), answers(&rebuilt(&m)));
+        prop_assert_eq!(cone, m.fanout_cone_sorted(site));
     }
 
     /// The abstraction equivalence contract on arbitrary circuits: the
