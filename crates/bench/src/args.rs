@@ -20,11 +20,6 @@ pub struct Args {
     pub time_limit: Duration,
     /// Worker threads (0 = all cores).
     pub jobs: usize,
-    /// Arm the speculative node dispatcher (`--dispatch`): `--jobs`
-    /// workers evaluate predicted tree expansions concurrently while
-    /// the serial master loop keeps the search deterministic
-    /// (`--no-dispatch` reverts to per-node parallel screening).
-    pub dispatch: bool,
     /// Emit a one-line `RectifyReport` JSON record per engine run
     /// (`--no-json` disables; see EXPERIMENTS.md for the schema).
     pub json: bool,
@@ -83,7 +78,6 @@ impl Default for Args {
             circuits: Vec::new(),
             time_limit: Duration::from_secs(30),
             jobs: 0,
-            dispatch: false,
             json: true,
             incremental: true,
             sparse: true,
@@ -120,8 +114,6 @@ impl Args {
                 "--trials" => args.trials = parse_num(&value("--trials")) as usize,
                 "--vectors" => args.vectors = parse_num(&value("--vectors")) as usize,
                 "--jobs" => args.jobs = parse_num(&value("--jobs")) as usize,
-                "--dispatch" => args.dispatch = true,
-                "--no-dispatch" => args.dispatch = false,
                 "--json" => args.json = true,
                 "--no-json" => args.json = false,
                 "--incremental" => args.incremental = true,
@@ -157,8 +149,7 @@ impl Args {
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --seed N --trials N --vectors N --circuits a,b,c \
-                         --time-limit SECONDS --jobs N --dispatch|--no-dispatch \
-                         --json|--no-json \
+                         --time-limit SECONDS --jobs N --json|--no-json \
                          --incremental|--no-incremental --sparse|--no-sparse \
                          --hierarchical|--flat --audit \
                          --traversal bfs|dfs|naive-bfs|best-first \
@@ -296,15 +287,6 @@ mod tests {
         assert!(Args::parse_from(["--hierarchical".to_string()]).hierarchical);
         assert!(
             !Args::parse_from(["--hierarchical".to_string(), "--flat".to_string()]).hierarchical
-        );
-    }
-
-    #[test]
-    fn dispatch_flag_round_trips() {
-        assert!(!Args::default().dispatch, "dispatch is opt-in");
-        assert!(Args::parse_from(["--dispatch".to_string()]).dispatch);
-        assert!(
-            !Args::parse_from(["--dispatch".to_string(), "--no-dispatch".to_string()]).dispatch
         );
     }
 

@@ -71,10 +71,6 @@ fn trial(golden: &Netlist, vectors: usize, seed: u64, sparse: bool) -> Option<(u
 
 fn main() {
     let args = Args::parse();
-    // These ablations stop at the root node (rank_candidates), so the
-    // node dispatcher never engages; still honour --dispatch's CPU
-    // ownership convention by serializing trials when it is set.
-    let trial_jobs = if args.dispatch { 1 } else { args.jobs };
     let circuits: Vec<String> = if args.circuits.is_empty() {
         vec![
             "c432a".into(),
@@ -100,7 +96,7 @@ fn main() {
     ]);
     for circuit in &circuits {
         let golden = scan_core(circuit);
-        let results = run_parallel(args.trials, trial_jobs, |t| {
+        let results = run_parallel(args.trials, args.jobs, |t| {
             for attempt in 0..20u64 {
                 let seed = args.trial_seed("ablation_rank", circuit, 1, t, attempt);
                 if let Some(r) = trial(&golden, args.vectors, seed, args.sparse) {

@@ -76,10 +76,6 @@ fn sweep_point(
 
 fn main() {
     let args = Args::parse();
-    // These ablations stop at the root node (rank_candidates), so the
-    // node dispatcher never engages; still honour --dispatch's CPU
-    // ownership convention by serializing trials when it is set.
-    let trial_jobs = if args.dispatch { 1 } else { args.jobs };
     let circuits: Vec<String> = if args.circuits.is_empty() {
         vec!["c432a".into(), "c880a".into()]
     } else {
@@ -103,7 +99,7 @@ fn main() {
             let level = ParamLevel::new(0.0, h2, h3)
                 .and_then(|l| l.with_promote(1.0))
                 .expect("sweep points are in range");
-            let results = run_parallel(args.trials, trial_jobs, |t| {
+            let results = run_parallel(args.trials, args.jobs, |t| {
                 for attempt in 0..20u64 {
                     let seed = args.trial_seed("ablation_screening", circuit, 1, t, attempt);
                     if let Some(s) = sweep_point(&golden, args.vectors, seed, level, args.sparse) {

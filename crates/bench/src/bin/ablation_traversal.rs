@@ -21,10 +21,6 @@ use incdx_core::{RectifyReport, TraversalKind};
 fn main() -> ExitCode {
     let args = Args::parse();
     let base_opts = TrialOptions::from_args(&args);
-    // --dispatch hands the cores to the engine's node dispatcher, so
-    // trials serialize; otherwise the harness fans out across trials.
-    let trial_jobs = if args.dispatch { 1 } else { args.jobs };
-    let engine_jobs = if args.dispatch { args.jobs } else { 1 };
     let circuits: Vec<String> = if args.circuits.is_empty() {
         vec!["c432a".into(), "c880a".into(), "c1908a".into()]
     } else {
@@ -50,7 +46,7 @@ fn main() -> ExitCode {
         };
         for &traversal in &strategies {
             let label = traversal.as_str();
-            let outcomes = run_parallel(args.trials, trial_jobs, |t| {
+            let outcomes = run_parallel(args.trials, args.jobs, |t| {
                 for attempt in 0..20u64 {
                     let seed = args.trial_seed("ablation_traversal", circuit, errors, t, attempt);
                     let mut opts =
@@ -82,7 +78,7 @@ fn main() -> ExitCode {
                     let tag = format!("ablation_traversal/{circuit}/{label}/t{trial}");
                     let report = RectifyReport::from_parts(
                         &tag,
-                        engine_jobs,
+                        1,
                         out.solutions,
                         out.sites,
                         out.solutions_fp,

@@ -5,10 +5,13 @@
 //! motivation; the incremental method keeps resolving.
 //!
 //! `cargo run -p incdx-bench --release --bin baseline_dictionary --
-//! [--trials N] [--circuits a,b] [--seed N]`
+//! [--trials N] [--circuits a,b] [--seed N] [--jobs N]` plus the engine
+//! flags every binary shares (`--no-incremental`, `--traversal`,
+//! `--audit`, `--deadline-ms`, `--max-nodes`, `--chaos`; see
+//! `TrialOptions::apply`)
 
 use incdx_atpg::{all_stuck_at_faults, FaultDictionary};
-use incdx_bench::{run_parallel, scan_core, Args, Table};
+use incdx_bench::{run_parallel, scan_core, Args, Table, TrialOptions};
 use incdx_core::{Rectifier, RectifyConfig};
 use incdx_fault::{inject_stuck_at_faults, InjectionConfig, StuckAt};
 use incdx_netlist::Netlist;
@@ -61,12 +64,7 @@ fn trial(
 
     let mut config = RectifyConfig::stuck_at_exhaustive(faults);
     config.time_limit = Some(args.time_limit);
-    config.sparse = args.sparse;
-    config.hierarchical = args.hierarchical;
-    config.dispatch = args.dispatch;
-    if args.dispatch {
-        config.jobs = args.jobs;
-    }
+    TrialOptions::from_args(args).apply(&mut config);
     let result = Rectifier::new(golden.clone(), pi.clone(), device, config)
         .ok()?
         .run();
@@ -83,9 +81,6 @@ fn trial(
 
 fn main() {
     let args = Args::parse();
-    // --dispatch hands the cores to the engine's node dispatcher, so
-    // trials serialize; otherwise the harness fans out across trials.
-    let trial_jobs = if args.dispatch { 1 } else { args.jobs };
     let circuits: Vec<String> = if args.circuits.is_empty() {
         vec!["c432a".into(), "c880a".into()]
     } else {
@@ -108,7 +103,7 @@ fn main() {
         let pi = PackedMatrix::random(golden.inputs().len(), args.vectors, &mut vec_rng);
         let dict = FaultDictionary::build(&golden, all_stuck_at_faults(&golden), &pi);
         for faults in [1usize, 2, 3] {
-            let outcomes = run_parallel(args.trials, trial_jobs, |t| {
+            let outcomes = run_parallel(args.trials, args.jobs, |t| {
                 for attempt in 0..20u64 {
                     let seed = args.trial_seed("baseline_dictionary", circuit, faults, t, attempt);
                     if let Some(r) = trial(&golden, &dict, &pi, faults, seed, &args) {

@@ -7,9 +7,11 @@
 //! measures how often a 2-correction rectification is found and verified.
 //!
 //! `cargo run -p incdx-bench --release --bin bridging -- [--trials N]
-//! [--circuits a,b] [--seed N]`
+//! [--circuits a,b] [--seed N] [--jobs N]` plus the engine flags every
+//! binary shares (`--no-incremental`, `--traversal`, `--audit`,
+//! `--deadline-ms`, `--max-nodes`, `--chaos`; see `TrialOptions::apply`)
 
-use incdx_bench::{run_parallel, scan_core, Args, Table};
+use incdx_bench::{run_parallel, scan_core, Args, Table, TrialOptions};
 use incdx_core::{Rectifier, RectifyConfig};
 use incdx_fault::{BridgeKind, BridgingFault};
 use incdx_netlist::Netlist;
@@ -70,12 +72,7 @@ fn trial(golden: &Netlist, seed: u64, args: &Args) -> Option<Trial> {
     // design-error correction model (two InsertGate fixes max).
     let mut config = RectifyConfig::dedc(2);
     config.time_limit = Some(args.time_limit);
-    config.sparse = args.sparse;
-    config.hierarchical = args.hierarchical;
-    config.dispatch = args.dispatch;
-    if args.dispatch {
-        config.jobs = args.jobs;
-    }
+    TrialOptions::from_args(args).apply(&mut config);
     let result = Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
         .ok()?
         .run();
@@ -104,9 +101,6 @@ fn trial(golden: &Netlist, seed: u64, args: &Args) -> Option<Trial> {
 
 fn main() {
     let args = Args::parse();
-    // --dispatch hands the cores to the engine's node dispatcher, so
-    // trials serialize; otherwise the harness fans out across trials.
-    let trial_jobs = if args.dispatch { 1 } else { args.jobs };
     let circuits: Vec<String> = if args.circuits.is_empty() {
         vec!["c432a".into(), "c880a".into(), "c1908a".into()]
     } else {
@@ -120,7 +114,7 @@ fn main() {
     let mut table = Table::new(["ckt", "modeled", "avg nodes"]);
     for circuit in &circuits {
         let golden = scan_core(circuit);
-        let outcomes = run_parallel(args.trials, trial_jobs, |t| {
+        let outcomes = run_parallel(args.trials, args.jobs, |t| {
             for attempt in 0..20u64 {
                 let seed = args.trial_seed("bridging", circuit, 1, t, attempt);
                 if let Some(r) = trial(&golden, seed, &args) {

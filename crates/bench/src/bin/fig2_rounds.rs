@@ -5,7 +5,7 @@
 //! and the round in which the first solution lands.
 //!
 //! `cargo run -p incdx-bench --release --bin fig2_rounds -- [--seed N]
-//! [--vectors N] [--circuits NAME] [--jobs N] [--dispatch]
+//! [--vectors N] [--circuits NAME] [--jobs N]
 //! [--deadline-ms N] [--max-nodes N] [--chaos SEED,RATE]
 //! [--checkpoint PATH] [--resume PATH]`
 //!
@@ -16,6 +16,7 @@ use std::process::ExitCode;
 
 use incdx_bench::{
     engine_error, finish_with_checkpoint, load_checkpoint, try_scan_core, usage_error, Args, Table,
+    TrialOptions,
 };
 use incdx_core::{Checkpoint, Rectifier, RectifyConfig, RectifyReport};
 use incdx_fault::{inject_design_errors, InjectionConfig};
@@ -59,18 +60,10 @@ fn budget_config(args: &Args, budget: usize) -> RectifyConfig {
     let mut config = RectifyConfig::dedc(3);
     config.max_rounds = budget;
     config.time_limit = Some(args.time_limit);
-    config.incremental = args.incremental;
-    config.sparse = args.sparse;
-    config.hierarchical = args.hierarchical;
-    config.traversal = args.traversal;
-    config.audit = args.audit;
-    config.limits = args.limits();
-    config.chaos = args.chaos;
+    TrialOptions::from_args(args).apply(&mut config);
     // A single engine run at a time — parallelism goes inside the
-    // engine (screening workers, or the speculative node dispatcher
-    // under --dispatch) rather than across trials.
+    // engine (screening workers) rather than across trials.
     config.jobs = args.jobs;
-    config.dispatch = args.dispatch;
     config
 }
 

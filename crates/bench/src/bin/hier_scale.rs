@@ -25,12 +25,14 @@
 //!
 //! `cargo run -p incdx-bench --release --bin hier_scale -- [--trials N]
 //! [--circuits c6288a,parity2048,sec256] [--max-nodes N] [--json]`
+//! plus the engine flags every binary shares (`--audit`, `--chaos`,
+//! `--deadline-ms`, ...; see `TrialOptions::apply`)
 
 use std::time::Instant;
 
 use std::process::ExitCode;
 
-use incdx_bench::{run_parallel, try_scan_core, usage_error, Args, Table};
+use incdx_bench::{run_parallel, try_scan_core, usage_error, Args, Table, TrialOptions};
 use incdx_core::{json_obj, Rectifier, RectifyConfig, Verdict};
 use incdx_fault::StuckAt;
 use incdx_netlist::{Abstraction, Netlist};
@@ -89,13 +91,11 @@ fn run_mode(
     let mut config = RectifyConfig::stuck_at_exhaustive(FAULTS);
     config.exhaustive = false;
     config.max_solutions = 1;
-    config.max_nodes = budget as usize;
     config.time_limit = Some(args.time_limit);
-    config.limits.max_total_nodes = Some(budget);
-    config.incremental = args.incremental;
-    config.sparse = args.sparse;
-    config.traversal = args.traversal;
+    TrialOptions::from_args(args).apply(&mut config);
     config.hierarchical = hierarchical;
+    config.max_nodes = budget as usize;
+    config.limits.max_total_nodes = Some(budget);
     let started = Instant::now();
     let result = Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
         .ok()?

@@ -6,12 +6,11 @@
 //!
 //! `cargo run -p incdx-bench --release --bin table2 -- [--trials N]
 //! [--vectors N] [--circuits a,b,c] [--seed N] [--time-limit SECS]
-//! [--jobs N] [--dispatch] [--deadline-ms N] [--max-nodes N]
+//! [--jobs N] [--deadline-ms N] [--max-nodes N]
 //! [--chaos SEED,RATE] [--checkpoint PATH] [--resume PATH]`
 //!
-//! `--jobs` normally parallelizes across trials; with `--dispatch` the
-//! trials run one at a time and the jobs go to the engine's speculative
-//! node dispatcher instead (results stay bit-identical either way).
+//! `--jobs` parallelizes across trials; each engine runs serially, so
+//! results do not depend on it.
 //!
 //! Exit codes follow the lint convention: 0 success, 1 engine error
 //! (with a one-line JSON record on stdout), 2 usage error.
@@ -79,10 +78,6 @@ fn main() -> ExitCode {
         return resume_run(&args, &path);
     }
     let base_opts = TrialOptions::from_args(&args);
-    // Under --dispatch the engine owns the cores, so trials serialize;
-    // otherwise the harness fans out across trials with serial engines.
-    let trial_jobs = if args.dispatch { 1 } else { args.jobs };
-    let engine_jobs = if args.dispatch { args.jobs } else { 1 };
     let mut captured: Option<Checkpoint> = None;
     let error_counts = [3usize, 4];
     let circuits: Vec<String> = if args.circuits.is_empty() {
@@ -117,7 +112,7 @@ fn main() -> ExitCode {
         };
         let mut row = vec![circuit.clone()];
         for k in error_counts {
-            let outcomes = run_parallel(args.trials, trial_jobs, |trial| {
+            let outcomes = run_parallel(args.trials, args.jobs, |trial| {
                 for attempt in 0..20u64 {
                     let seed = args.trial_seed("table2", circuit, k, trial, attempt);
                     let opts = base_opts.labelled(format!("table2/{circuit}/k{k}/t{trial}"));
@@ -143,14 +138,13 @@ fn main() -> ExitCode {
                 captured = done.iter().find_map(|o| o.checkpoint.clone());
             }
             if args.json {
-                // Without --dispatch trials parallelize above and each
-                // engine runs with jobs = 1; with it the engine itself
-                // gets the jobs — reported accordingly.
+                // Trials parallelize above and each engine runs with
+                // jobs = 1, which is what the reports record.
                 for (trial, out) in done.iter().enumerate() {
                     let label = format!("table2/{circuit}/k{k}/t{trial}");
                     let report = RectifyReport::from_parts(
                         &label,
-                        engine_jobs,
+                        1,
                         out.solutions,
                         out.sites,
                         out.solutions_fp,

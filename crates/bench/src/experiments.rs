@@ -58,17 +58,6 @@ pub struct TrialOptions {
     pub hierarchical: bool,
     /// Decision-tree scheduling policy.
     pub traversal: TraversalKind,
-    /// Arm the speculative node dispatcher
-    /// ([`RectifyConfig::dispatch`]): `jobs` workers evaluate predicted
-    /// tree expansions while the serial master loop keeps results
-    /// bit-identical. Binaries that normally parallelize across trials
-    /// should drop to one trial at a time when this is set, so the
-    /// dispatcher owns the cores.
-    pub dispatch: bool,
-    /// Engine worker threads when `dispatch` is armed (0 = all cores);
-    /// ignored otherwise — non-dispatched trials keep the config's
-    /// default and let the harness parallelize across trials instead.
-    pub jobs: usize,
     /// Engine invariant audit ([`RectifyConfig::audit`]).
     pub audit: bool,
     /// Cooperative resource limits (deadline, node/word budgets); an
@@ -94,14 +83,27 @@ impl TrialOptions {
             sparse: args.sparse,
             hierarchical: args.hierarchical,
             traversal: args.traversal,
-            dispatch: args.dispatch,
-            jobs: args.jobs,
             audit: args.audit,
             limits: args.limits(),
             chaos: args.chaos,
             label: String::new(),
             resume: None,
         }
+    }
+
+    /// Copies the engine flags into `config`: backend, sparse kernel,
+    /// hierarchical mode, traversal, audit, limits and chaos. Never
+    /// `jobs` (trials fan out above the engine, so each caller sets the
+    /// engine's workers itself), nor the preset's own caps (`max_nodes`,
+    /// `max_rounds`, `time_limit`).
+    pub fn apply(&self, config: &mut RectifyConfig) {
+        config.incremental = self.incremental;
+        config.sparse = self.sparse;
+        config.hierarchical = self.hierarchical;
+        config.traversal = self.traversal;
+        config.audit = self.audit;
+        config.limits = self.limits;
+        config.chaos = self.chaos;
     }
 
     /// A copy of these options aimed at a specific run label.
@@ -227,17 +229,7 @@ pub fn stuck_at_trial(
     }
     let mut config = RectifyConfig::stuck_at_exhaustive(faults);
     config.time_limit = Some(time_limit);
-    config.incremental = opts.incremental;
-    config.sparse = opts.sparse;
-    config.hierarchical = opts.hierarchical;
-    config.traversal = opts.traversal;
-    config.dispatch = opts.dispatch;
-    if opts.dispatch {
-        config.jobs = opts.jobs;
-    }
-    config.audit = opts.audit;
-    config.limits = opts.limits;
-    config.chaos = opts.chaos;
+    opts.apply(&mut config);
     let started = Instant::now();
     let mut engine = Rectifier::new(golden.clone(), pi, device, config)?;
     engine.set_checkpoint_meta(opts.label.clone(), seed);
@@ -326,17 +318,7 @@ pub fn dedc_trial(
     let spec = Response::capture(golden, &sim.run(golden, &pi));
     let mut config = RectifyConfig::dedc(errors);
     config.time_limit = Some(time_limit);
-    config.incremental = opts.incremental;
-    config.sparse = opts.sparse;
-    config.hierarchical = opts.hierarchical;
-    config.traversal = opts.traversal;
-    config.dispatch = opts.dispatch;
-    if opts.dispatch {
-        config.jobs = opts.jobs;
-    }
-    config.audit = opts.audit;
-    config.limits = opts.limits;
-    config.chaos = opts.chaos;
+    opts.apply(&mut config);
     let started = Instant::now();
     let mut engine = Rectifier::new(
         injection.corrupted.clone(),
@@ -405,6 +387,39 @@ mod tests {
             traversal: TraversalKind::default(),
             ..TrialOptions::default()
         }
+    }
+
+    #[test]
+    fn apply_sets_the_engine_flags_and_leaves_jobs_and_budgets() {
+        let opts = TrialOptions {
+            incremental: false,
+            sparse: false,
+            hierarchical: true,
+            traversal: TraversalKind::BestFirst,
+            audit: true,
+            limits: RectifyLimits {
+                deadline: Some(Duration::from_millis(40)),
+                max_total_nodes: Some(9),
+                ..RectifyLimits::default()
+            },
+            chaos: Some(ChaosConfig { seed: 3, rate: 0.5 }),
+            ..TrialOptions::default()
+        };
+        let mut config = RectifyConfig::dedc(2);
+        config.jobs = 3;
+        config.time_limit = Some(Duration::from_secs(7));
+        let preset = config.clone();
+        opts.apply(&mut config);
+        assert!(!config.incremental);
+        assert!(!config.sparse);
+        assert!(config.hierarchical);
+        assert_eq!(config.traversal, TraversalKind::BestFirst);
+        assert!(config.audit);
+        assert_eq!(config.limits, opts.limits);
+        assert_eq!(config.chaos, opts.chaos);
+        assert_eq!(config.jobs, preset.jobs);
+        assert_eq!(config.max_nodes, preset.max_nodes);
+        assert_eq!(config.time_limit, preset.time_limit);
     }
 
     #[test]

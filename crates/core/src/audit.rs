@@ -233,10 +233,6 @@ impl Evaluator for Auditing {
         Some(node)
     }
 
-    fn cached(&mut self, corrections: &[Correction]) -> Option<(Netlist, PackedMatrix)> {
-        self.inner.cached(corrections)
-    }
-
     fn retain(&mut self, corrections: &[Correction], netlist: Netlist, vals: PackedMatrix) -> u64 {
         self.inner.retain(corrections, netlist, vals)
     }

@@ -202,21 +202,6 @@ impl ChaosState {
         }
     }
 
-    /// Panics (once per frontier sequence number) if the injection
-    /// stream selects this dispatcher steal: called by a dispatch
-    /// worker right after it claims a frontier entry, so the injected
-    /// fault exercises the exact claimed-then-died steal race — the
-    /// panic is caught at the sanctioned boundary in the dispatcher
-    /// worker loop, the task is marked failed, and the master falls
-    /// back to evaluating the node inline (lossless).
-    pub fn maybe_steal_panic(&self, seq: u64) {
-        let key = 0x57EA_0000_0000_0000 ^ seq;
-        if self.draw(key) < self.config.rate && self.arm(key) {
-            self.panics.fetch_add(1, Ordering::Relaxed);
-            panic!("chaos: injected steal-site panic"); // panic-audit: allow
-        }
-    }
-
     /// Corrupts a prepared node in place if the injection stream selects
     /// this prepare: either truncates the value matrix by one row (a
     /// width error) or flips one simulated bit. The two are mutually
@@ -485,26 +470,6 @@ mod tests {
         // Retry of the same (section, item) draws a spent key: no panic.
         state.maybe_panic(s, 0);
         assert_eq!(state.summary().panics, 1);
-    }
-
-    #[test]
-    fn steal_site_injects_once_per_sequence_number() {
-        let state = ChaosState::new(ChaosConfig { seed: 2, rate: 1.0 });
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            state.maybe_steal_panic(17);
-        }));
-        std::panic::set_hook(prev);
-        assert!(first.is_err(), "rate 1.0 must inject at the steal site");
-        // A re-pop of the same frontier sequence draws a spent key.
-        state.maybe_steal_panic(17);
-        assert_eq!(state.summary().panics, 1);
-        let zero = ChaosState::new(ChaosConfig { seed: 2, rate: 0.0 });
-        for seq in 0..64 {
-            zero.maybe_steal_panic(seq);
-        }
-        assert_eq!(zero.summary().panics, 0);
     }
 
     #[test]

@@ -9,10 +9,7 @@
 //! state and continues the search; because every evaluator backend is a
 //! pure function of the base circuit and the applied corrections, a
 //! resumed run reaches a solution set bit-identical to an uninterrupted
-//! one. Dispatched runs (`RectifyConfig::dispatch`) change nothing
-//! here: speculative worker results are a stateless cache over the
-//! tree and are never captured, so a checkpoint taken mid-dispatch is
-//! indistinguishable from a serial one.
+//! one.
 //!
 //! The format is a single line of JSON written and read through the
 //! workspace codec ([`crate::json`]). Candidate scores are `f64`s

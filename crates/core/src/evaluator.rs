@@ -14,12 +14,6 @@
 //! All backends are pure with respect to results: solutions and
 //! candidate rankings do not depend on the backend, only the work
 //! counters do (see the cache-invariants section of `ARCHITECTURE.md`).
-//!
-//! Besides the master session, each dispatcher worker (`dispatch.rs`)
-//! owns a private evaluator stack built by the same
-//! `session::build_evaluator` path, so speculative node preparation
-//! reuses these backends unchanged — purity is what makes a worker's
-//! result interchangeable with the master's.
 
 use std::fmt::Debug;
 
@@ -97,8 +91,8 @@ pub trait Evaluator: Debug + Send {
     }
 
     /// Does this backend keep parent matrices for change-bounded reuse?
-    /// (The speculative dispatcher reads it to warm and share those
-    /// matrices; the candidate pipeline is the same either way.)
+    /// The engine never reads this; it stays only because perfbench
+    /// still forwards it, and goes once perfbench stops (ROADMAP item 2).
     fn incremental(&self) -> bool {
         false
     }
@@ -123,11 +117,9 @@ pub trait Evaluator: Debug + Send {
         corrections: &[Correction],
     ) -> Option<PreparedNode>;
 
-    /// Clones out the retained (netlist, matrix) pair for `corrections`
-    /// if this backend kept one, refreshing its recency. Backends that
-    /// keep nothing return `None`. Used by the dispatcher's cache
-    /// warming to probe a worker's private cache without triggering the
-    /// replay a [`Evaluator::prepare`] miss would cost.
+    /// Always `None`: the engine never reads this. It stays only because
+    /// perfbench still forwards it, and goes once perfbench stops
+    /// (ROADMAP item 2).
     fn cached(&mut self, _corrections: &[Correction]) -> Option<(Netlist, PackedMatrix)> {
         None
     }
@@ -420,10 +412,6 @@ impl Evaluator for Incremental {
         })
     }
 
-    fn cached(&mut self, corrections: &[Correction]) -> Option<(Netlist, PackedMatrix)> {
-        self.cache.get_clone(corrections)
-    }
-
     fn retain(&mut self, corrections: &[Correction], netlist: Netlist, vals: PackedMatrix) -> u64 {
         self.cache.insert(corrections.to_vec(), netlist, vals)
     }
@@ -498,10 +486,6 @@ impl Evaluator for Parallel {
         corrections: &[Correction],
     ) -> Option<PreparedNode> {
         self.inner.prepare(ctx, corrections)
-    }
-
-    fn cached(&mut self, corrections: &[Correction]) -> Option<(Netlist, PackedMatrix)> {
-        self.inner.cached(corrections)
     }
 
     fn retain(&mut self, corrections: &[Correction], netlist: Netlist, vals: PackedMatrix) -> u64 {
@@ -589,28 +573,6 @@ mod tests {
         inc.release(&[]);
         assert!(prepare_with(&mut inc, &n, &pi, &tuple).is_some());
         assert_eq!(inc.counters().matrix_hits, 1, "released entry cannot hit");
-    }
-
-    #[test]
-    fn cached_probe_returns_retained_pairs_without_replay() {
-        let (n, pi) = setup();
-        let mut inc = Incremental::new(64 << 20);
-        assert!(inc.cached(&[]).is_none(), "nothing retained yet");
-        let root = prepare_with(&mut inc, &n, &pi, &[]).unwrap();
-        inc.retain(&[], root.netlist, root.vals.clone());
-        let words_before = inc.counters().words;
-        let (_, vals) = inc.cached(&[]).expect("retained pair is probeable");
-        assert_eq!(vals.row(0), root.vals.row(0), "probe clones the matrix");
-        assert_eq!(
-            inc.counters().words,
-            words_before,
-            "a probe simulates nothing"
-        );
-        // Backends that keep nothing answer None, so cache warming is a
-        // no-op for them.
-        assert!(FromScratch::new().cached(&[]).is_none());
-        let mut par = Parallel::new(Box::new(Incremental::new(64 << 20)), 2);
-        assert!(par.cached(&[]).is_none(), "decorator delegates");
     }
 
     #[test]

@@ -71,7 +71,6 @@ mod audit;
 mod cache;
 mod chaos;
 mod checkpoint;
-mod dispatch;
 mod error;
 mod evaluator;
 pub mod json;
@@ -92,7 +91,6 @@ pub use checkpoint::{
     atomic_write_line, load_checkpoint_file, netlist_fingerprint, save_checkpoint_file, Checkpoint,
     CheckpointNode, CHECKPOINT_VERSION,
 };
-pub use dispatch::{DispatchTelemetry, Frontier, Popped, Prio};
 pub use error::IncdxError;
 pub use evaluator::{
     EvalContext, Evaluator, FromScratch, Incremental, Parallel, PreparedNode, SimCounters,

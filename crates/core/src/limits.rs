@@ -68,9 +68,8 @@ struct TokenInner {
 /// engine polls the token once per scheduled plan item (via
 /// [`CancelToken::poll`], which also counts polls so tests can trip the
 /// token at an exact traversal step with [`CancelToken::trip_after`]);
-/// pipeline workers and dispatcher speculation workers use the
-/// non-counting [`CancelToken::is_cancelled`] so worker scheduling
-/// never perturbs the deterministic poll count.
+/// pipeline workers use the non-counting [`CancelToken::is_cancelled`]
+/// so worker scheduling never perturbs the deterministic poll count.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,

@@ -13,8 +13,8 @@
 //!
 //! This module is one of the workspace's two **sanctioned
 //! `catch_unwind` boundaries** (enforced by the `panic_audit` lint;
-//! the other is the dispatcher worker loop in `dispatch.rs`): a panicking task is
-//! caught at the worker, the worker's scratch state is discarded and
+//! the other is the serve daemon's per-job slice boundary): a panicking
+//! task is caught at the worker, the worker's scratch state is discarded and
 //! rebuilt with `init()` (it may have been left inconsistent), and the
 //! failed items are retried serially after the parallel section
 //! drains. Only a *second* panic of the same item propagates. Every

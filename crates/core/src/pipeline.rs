@@ -37,11 +37,7 @@
 //!
 //! The candidate list is a **pure function** of (netlist, value
 //! matrix, reference response, applied corrections, ladder level,
-//! config) — no hidden scheduling state leaks into the results. The
-//! speculative dispatcher (`dispatch.rs`) relies on this contract: a
-//! worker's pipeline output for a tuple is bit-identical to what the
-//! master would compute inline, which is what lets speculation
-//! substitute for inline evaluation without perturbing the search.
+//! config) — no hidden scheduling state leaks into the results.
 
 use std::cell::OnceCell;
 use std::sync::Arc;

@@ -133,18 +133,6 @@ impl RectifyReport {
                 "representatives": Json::arr(&fc.representatives),
             }
         });
-        let dispatch = s.dispatch.as_ref().map(|d| {
-            json_obj! {
-                "workers": d.workers, "tasks_executed": d.tasks_executed,
-                "tasks_stolen": d.tasks_stolen, "steal_failures": d.steal_failures,
-                "speculative_hits": d.speculative_hits,
-                "speculative_misses": d.speculative_misses, "hit_rate": d.hit_rate(),
-                "tasks_wasted": d.tasks_wasted, "frontier_high_water": d.frontier_high_water,
-                "worker_nodes": Json::arr(d.worker_nodes.iter().copied()),
-                "worker_busy": Json::arr(d.worker_busy.iter().map(Duration::as_secs_f64)),
-                "worker_idle": Json::arr(d.worker_idle.iter().map(Duration::as_secs_f64)),
-            }
-        });
         let degradations = s.degradations.iter().map(|d| {
             json_obj! { "kind": d.kind.tag(), "count": d.count, "detail": &d.detail }
         });
@@ -187,7 +175,6 @@ impl RectifyReport {
                 "count": s.parallel.workers, "busy": secs(s.parallel.busy),
                 "wall": secs(s.parallel.wall), "utilization": s.parallel.utilization(),
             },
-            "dispatch": dispatch,
             "audit": json_obj! { "checks": s.audit_checks, "violations": s.audit_violations },
             "degradations": Json::arr(degradations),
             "chaos": chaos,
@@ -294,7 +281,6 @@ mod tests {
         assert!(json.contains("\"verdict\":\"exact\""));
         assert!(json.contains("\"degradations\":[]"));
         assert!(json.contains("\"chaos\":null"));
-        assert!(json.contains("\"dispatch\":null"));
         assert!(json.contains("\"abstraction\":null"));
         assert!(json.contains("\"fault_classes\":null"));
     }
@@ -342,40 +328,6 @@ mod tests {
              \"refinement_rounds\":2,\"phase1_nodes\":5,\"phase2_nodes\":17}"
         ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn dispatch_telemetry_serializes() {
-        use std::time::Duration;
-        let stats = RectifyStats {
-            dispatch: Some(crate::DispatchTelemetry {
-                workers: 2,
-                tasks_executed: 10,
-                tasks_stolen: 3,
-                steal_failures: 1,
-                speculative_hits: 6,
-                speculative_misses: 2,
-                tasks_wasted: 4,
-                frontier_high_water: 5,
-                worker_nodes: vec![7, 3],
-                worker_busy: vec![Duration::from_millis(250), Duration::from_millis(125)],
-                worker_idle: vec![Duration::from_millis(50), Duration::ZERO],
-            }),
-            ..RectifyStats::default()
-        };
-        let report =
-            RectifyReport::from_parts("dispatch", 2, 1, 1, 0, Verdict::default(), 0, stats);
-        let json = report.to_json();
-        assert!(json.contains(
-            "\"dispatch\":{\"workers\":2,\"tasks_executed\":10,\"tasks_stolen\":3,\
-             \"steal_failures\":1,\"speculative_hits\":6,\"speculative_misses\":2,\
-             \"hit_rate\":0.75,\"tasks_wasted\":4,\"frontier_high_water\":5"
-        ));
-        assert!(json.contains("\"worker_nodes\":[7,3]"));
-        assert!(json.contains("\"worker_busy\":[0.25,0.125]"));
-        assert!(json.contains("\"worker_idle\":[0.05,0.0]"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

@@ -13,7 +13,6 @@ use incdx_sim::{PackedMatrix, Response};
 
 use crate::chaos::{Chaos, ChaosConfig, ChaosState, ChaosSummary};
 use crate::checkpoint::{netlist_fingerprint, Checkpoint, CheckpointNode, CHECKPOINT_VERSION};
-use crate::dispatch::{DispatchTelemetry, Dispatcher, SpecEval, SpecOutcome};
 use crate::error::IncdxError;
 use crate::evaluator::{EvalContext, Evaluator, FromScratch, Incremental, Parallel, PreparedNode};
 use crate::limits::{
@@ -76,19 +75,9 @@ pub struct RectifyConfig {
     /// state and merge in candidate-rank order. Selects the
     /// [`Parallel`] evaluator decorator.
     pub jobs: usize,
-    /// Work-stealing frontier dispatcher: parallelize across decision
-    /// -tree nodes instead of across one node's candidates. When armed
-    /// (and `jobs` resolves to more than one worker), a per-level pool
-    /// of workers speculatively evaluates the tuples the traversal is
-    /// predicted to expand next, each worker owning a private evaluator
-    /// stack, while the serial master loop remains the sole source of
-    /// truth — the solution set, node/round counts, and every
-    /// pipeline-deterministic counter stay bit-identical to the serial
-    /// run for any worker count and interleaving; only work-attribution
-    /// counters ([`RectifyStats::words_simulated`] and friends) become
-    /// schedule-dependent. Telemetry lands in
-    /// [`RectifyStats::dispatch`]. Checkpoints are unaffected: nothing
-    /// speculative is captured (see `ARCHITECTURE.md`, "Dispatcher").
+    /// Read by nothing in the engine: every value gives the same run.
+    /// Kept only because perfbench still reads it; it goes once
+    /// perfbench stops (ROADMAP item 2).
     pub dispatch: bool,
     /// Event-driven incremental node evaluation (the [`Incremental`]
     /// backend): reuse the parent node's cached value matrix and
@@ -371,11 +360,6 @@ pub struct RectifyStats {
     /// Fault-injection tally when the run was chaos-armed
     /// ([`RectifyConfig::chaos`]); `None` otherwise.
     pub chaos: Option<ChaosSummary>,
-    /// Frontier-dispatcher telemetry when the run was dispatch-armed
-    /// ([`RectifyConfig::dispatch`] with more than one worker), merged
-    /// across ladder levels; `None` otherwise. Purely observational:
-    /// the speculative counters here never feed back into the search.
-    pub dispatch: Option<DispatchTelemetry>,
     /// Hierarchical-diagnosis telemetry when the run was armed with
     /// [`RectifyConfig::hierarchical`] and the abstraction was not
     /// degenerate; `None` otherwise (including flat fallbacks).
@@ -602,16 +586,7 @@ impl Rectifier {
         let co: Vec<u32> = netlist.ids().map(|id| scoap.co(id)).collect();
         traversal.seed_observability(&co);
         let chaos = config.chaos.map(ChaosState::new);
-        // Under the frontier dispatcher the master evaluates serially
-        // (workers carry the parallelism), so its own stack skips the
-        // per-node `Parallel` fan-out — exactly one layer parallelizes.
-        let evaluator = if dispatch_armed(&config) {
-            let mut serial = config.clone();
-            serial.jobs = 1;
-            build_evaluator(&serial, chaos.clone())
-        } else {
-            build_evaluator(&config, chaos.clone())
-        };
+        let evaluator = build_evaluator(&config, chaos.clone());
         Ok(Rectifier {
             base: netlist,
             base_inputs,
@@ -1303,60 +1278,13 @@ impl Rectifier {
     }
 
     /// One full tree traversal at a fixed parameter level (entered
-    /// mid-plan when resuming from a checkpoint). When the frontier
-    /// dispatcher is armed, this wrapper owns its per-level lifecycle:
-    /// spawn the worker pool, run the traversal with speculation, then
-    /// seal — join the workers and fold their telemetry/degradation
-    /// ledgers into the run stats (wasted speculations included, so
-    /// chaos fault-to-degradation accounting stays 1:1).
+    /// mid-plan when resuming from a checkpoint).
     fn search_level(
         &mut self,
         level: &ParamLevel,
         level_idx: usize,
         started: Instant,
         resume: Option<ResumeState>,
-    ) -> LevelOutcome {
-        let dispatcher = if self.dispatch_armed() {
-            Some(Dispatcher::new(
-                &self.base,
-                &self.base_inputs,
-                &self.vectors,
-                &self.spec,
-                &self.config,
-                *level,
-                self.cancel.clone(),
-                self.chaos.clone(),
-            ))
-        } else {
-            None
-        };
-        let outcome =
-            self.search_level_inner(level, level_idx, started, resume, dispatcher.as_ref());
-        if let Some(dispatcher) = dispatcher {
-            let finish = dispatcher.finish();
-            self.stats.degradations.extend(finish.degradations);
-            self.stats.parallel.merge(&finish.parallel);
-            match &mut self.stats.dispatch {
-                Some(telemetry) => telemetry.merge(&finish.telemetry),
-                None => self.stats.dispatch = Some(finish.telemetry),
-            }
-        }
-        outcome
-    }
-
-    /// Is the work-stealing frontier dispatcher in effect for this run?
-    fn dispatch_armed(&self) -> bool {
-        dispatch_armed(&self.config)
-    }
-
-    /// The traversal loop proper (see [`Rectifier::search_level`]).
-    fn search_level_inner(
-        &mut self,
-        level: &ParamLevel,
-        level_idx: usize,
-        started: Instant,
-        resume: Option<ResumeState>,
-        disp: Option<&Dispatcher>,
     ) -> LevelOutcome {
         let done = |solutions: Vec<Solution>| LevelOutcome {
             solutions,
@@ -1382,7 +1310,7 @@ impl Rectifier {
                 ),
                 None => {
                     let mut tree = Tree::new(self.config.max_corrections, self.config.max_nodes);
-                    match self.evaluate(&[], level, true, disp) {
+                    match self.evaluate(&[], level, true) {
                         NodeEval::Solved => {
                             return done(vec![Solution {
                                 corrections: vec![],
@@ -1442,11 +1370,6 @@ impl Rectifier {
                     self.stats.truncated = true;
                     break 'search;
                 }
-                if let Some(d) = disp {
-                    // Lookahead: retract stale speculations and top the
-                    // frontier up with the predicted next expansions.
-                    d.prime(&tree, &plan, plan_pos, &visited, &*self.traversal);
-                }
                 let idx = plan[plan_pos];
                 plan_pos += 1;
                 {
@@ -1496,7 +1419,7 @@ impl Rectifier {
                 let outcome = if !expandable && !cand.repairs_every_vector() {
                     self.close_failing_leaf(&corrections)
                 } else {
-                    self.evaluate(&corrections, level, expandable, disp)
+                    self.evaluate(&corrections, level, expandable)
                 };
                 match outcome {
                     NodeEval::Solved => {
@@ -1693,7 +1616,7 @@ impl Rectifier {
         corrections: &[Correction],
         level: &ParamLevel,
     ) -> Vec<RankedCorrection> {
-        match self.evaluate(corrections, level, true, None) {
+        match self.evaluate(corrections, level, true) {
             NodeEval::Open { candidates, .. } => candidates,
             _ => Vec::new(),
         }
@@ -1714,10 +1637,9 @@ impl Rectifier {
         corrections: &[Correction],
         level: &ParamLevel,
         expand: bool,
-        disp: Option<&Dispatcher>,
     ) -> NodeEval {
         let t_eval = Instant::now();
-        let outcome = self.evaluate_node(corrections, level, expand, disp);
+        let outcome = self.evaluate_node(corrections, level, expand);
         self.stats.evaluate_time += t_eval.elapsed();
         outcome
     }
@@ -1727,17 +1649,7 @@ impl Rectifier {
         corrections: &[Correction],
         level: &ParamLevel,
         expand: bool,
-        disp: Option<&Dispatcher>,
     ) -> NodeEval {
-        // Speculation hit path: a dispatcher worker already ran this
-        // exact tuple through the full prepare → diagnose → screen
-        // pipeline. Only the `expand = true` semantics are speculated
-        // (the lazy path differs), and the root is never speculated.
-        if expand && !corrections.is_empty() {
-            if let Some(outcome) = disp.and_then(|d| d.take(corrections)) {
-                return self.commit_speculation(outcome);
-            }
-        }
         self.stats.nodes += 1;
         let t0 = Instant::now();
         let before = self.evaluator.counters();
@@ -1836,34 +1748,6 @@ impl Rectifier {
         }
         outcome
     }
-
-    /// Commits a finished speculation as this node's evaluation: counts
-    /// the node (master-side, so `stats.nodes` stays a deterministic
-    /// function of the traversal), absorbs the worker's work
-    /// attribution, merges every node matrix the worker computed into
-    /// the master evaluator's cache — the evaluated node *and* its
-    /// parent prefix, so the master's cache stays as warm as an inline
-    /// evaluation would have left it — and converts the result.
-    /// Bit-identical to the inline evaluation it replaces (see the
-    /// purity contract in `dispatch.rs`).
-    fn commit_speculation(&mut self, outcome: SpecOutcome) -> NodeEval {
-        self.stats.nodes += 1;
-        absorb_speculative(&mut self.stats, &outcome.stats);
-        for (key, netlist, vals) in outcome.warmed {
-            self.stats.matrix_cache_evictions += self.evaluator.retain(&key, netlist, vals);
-        }
-        match outcome.eval {
-            SpecEval::Solved => NodeEval::Solved,
-            SpecEval::Dead => NodeEval::Dead,
-            SpecEval::Open {
-                candidates,
-                failing,
-            } => NodeEval::Open {
-                candidates,
-                failing,
-            },
-        }
-    }
 }
 
 /// Why one hierarchical child phase failed: construction errors trigger
@@ -1901,14 +1785,38 @@ fn remaining_time(limit: Option<Duration>, started: Instant) -> Option<Duration>
 }
 
 /// Folds a hierarchical child phase's statistics into the
-/// orchestrator's: everything [`absorb_speculative`] covers, plus the
-/// master-side counters a full child run owns (`nodes`, `rounds`,
+/// orchestrator's: the stage timers, the simulation and screening
+/// counters, and the counters a full child run owns (`nodes`, `rounds`,
 /// skipped expansions, worker telemetry, degradations, truncation,
-/// ladder depth, dispatch telemetry). The run-level identity fields
-/// (backend names, chaos tally, abstraction telemetry) stay the
-/// orchestrator's own.
+/// ladder depth). The run-level identity fields (backend names, chaos
+/// tally, abstraction telemetry) stay the orchestrator's own.
 fn absorb_child(stats: &mut RectifyStats, child: &RectifyStats) {
-    absorb_speculative(stats, child);
+    stats.diagnosis_time += child.diagnosis_time;
+    stats.correction_time += child.correction_time;
+    stats.simulation_time += child.simulation_time;
+    stats.path_trace_time += child.path_trace_time;
+    stats.rank_time += child.rank_time;
+    stats.screen_time += child.screen_time;
+    stats.evaluate_time += child.evaluate_time;
+    stats.corrections_screened += child.corrections_screened;
+    stats.corrections_qualified += child.corrections_qualified;
+    stats.lines_rejected_h1 += child.lines_rejected_h1;
+    stats.corrections_rejected_h2 += child.corrections_rejected_h2;
+    stats.corrections_rejected_h3 += child.corrections_rejected_h3;
+    stats.words_simulated += child.words_simulated;
+    stats.events_propagated += child.events_propagated;
+    stats.words_skipped += child.words_skipped;
+    stats.blocks_skipped += child.blocks_skipped;
+    stats.sparse_rows += child.sparse_rows;
+    stats.dense_fallbacks += child.dense_fallbacks;
+    stats.cone_cache_hits += child.cone_cache_hits;
+    stats.matrix_cache_hits += child.matrix_cache_hits;
+    stats.matrix_cache_evictions += child.matrix_cache_evictions;
+    stats.audit_checks += child.audit_checks;
+    stats.audit_violations += child.audit_violations;
+    stats.wire_sources_truncated += child.wire_sources_truncated;
+    stats.candidates_truncated += child.candidates_truncated;
+    stats.lines_truncated += child.lines_truncated;
     stats.nodes += child.nodes;
     stats.expansions_skipped += child.expansions_skipped;
     stats.rounds += child.rounds;
@@ -1918,58 +1826,8 @@ fn absorb_child(stats: &mut RectifyStats, child: &RectifyStats) {
         .extend(child.degradations.iter().cloned());
     stats.truncated |= child.truncated;
     stats.deepest_ladder_level = stats.deepest_ladder_level.max(child.deepest_ladder_level);
-    match (&mut stats.dispatch, &child.dispatch) {
-        (Some(mine), Some(theirs)) => mine.merge(theirs),
-        (None, Some(theirs)) => stats.dispatch = Some(theirs.clone()),
-        _ => {}
-    }
     // `fault_classes` is deliberately NOT absorbed: it is a run-level
     // identity of the base netlist, not accumulated work.
-}
-
-/// Is the work-stealing frontier dispatcher in effect for `config`?
-/// Requires the opt-in flag *and* a resolved worker count above one
-/// (`dispatch` with `jobs = 1` is the plain serial engine, bit-identical
-/// by construction — no pool is ever spawned).
-fn dispatch_armed(config: &RectifyConfig) -> bool {
-    config.dispatch && crate::parallel::effective_jobs(config.jobs, usize::MAX) > 1
-}
-
-/// Folds a speculative evaluation's work attribution into the run
-/// stats: the stage timers and simulation/screening counters — exactly
-/// what the inline evaluation would have added. Deliberately *not*
-/// absorbed: `nodes`/`rounds`/`expansions_skipped` (master-side
-/// deterministic bookkeeping), `parallel` and `degradations` (already
-/// drained to the dispatcher ledger at task completion, wasted tasks
-/// included), and the run-level fields (names, verdict flags, chaos,
-/// dispatch).
-fn absorb_speculative(stats: &mut RectifyStats, spec: &RectifyStats) {
-    stats.diagnosis_time += spec.diagnosis_time;
-    stats.correction_time += spec.correction_time;
-    stats.simulation_time += spec.simulation_time;
-    stats.path_trace_time += spec.path_trace_time;
-    stats.rank_time += spec.rank_time;
-    stats.screen_time += spec.screen_time;
-    stats.evaluate_time += spec.evaluate_time;
-    stats.corrections_screened += spec.corrections_screened;
-    stats.corrections_qualified += spec.corrections_qualified;
-    stats.lines_rejected_h1 += spec.lines_rejected_h1;
-    stats.corrections_rejected_h2 += spec.corrections_rejected_h2;
-    stats.corrections_rejected_h3 += spec.corrections_rejected_h3;
-    stats.words_simulated += spec.words_simulated;
-    stats.events_propagated += spec.events_propagated;
-    stats.words_skipped += spec.words_skipped;
-    stats.blocks_skipped += spec.blocks_skipped;
-    stats.sparse_rows += spec.sparse_rows;
-    stats.dense_fallbacks += spec.dense_fallbacks;
-    stats.cone_cache_hits += spec.cone_cache_hits;
-    stats.matrix_cache_hits += spec.matrix_cache_hits;
-    stats.matrix_cache_evictions += spec.matrix_cache_evictions;
-    stats.audit_checks += spec.audit_checks;
-    stats.audit_violations += spec.audit_violations;
-    stats.wire_sources_truncated += spec.wire_sources_truncated;
-    stats.candidates_truncated += spec.candidates_truncated;
-    stats.lines_truncated += spec.lines_truncated;
 }
 
 /// The structural fault-equivalence summary reported for exhaustive
@@ -2010,12 +1868,7 @@ const PANIC_FALLBACK_THRESHOLD: u64 = 3;
 /// is on. A chaos-armed run instead wraps the stack in [`Chaos`] inside
 /// a *repairing* audit layer, so every injected corruption is caught
 /// and replaced by a from-scratch replay.
-/// Also used by the frontier dispatcher to build each worker's private
-/// stack (with `jobs = 1` and a divided cache budget).
-pub(crate) fn build_evaluator(
-    config: &RectifyConfig,
-    chaos: Option<Arc<ChaosState>>,
-) -> Box<dyn Evaluator> {
+fn build_evaluator(config: &RectifyConfig, chaos: Option<Arc<ChaosState>>) -> Box<dyn Evaluator> {
     let inner: Box<dyn Evaluator> = if config.incremental {
         Box::new(Incremental::new(config.matrix_cache_bytes).with_sparse(config.sparse))
     } else {
@@ -2590,47 +2443,6 @@ mod tests {
             r.stats.abstraction.is_none(),
             "degenerate abstraction reports no telemetry (flat fallback)"
         );
-    }
-
-    #[test]
-    fn dispatched_cache_merge_keeps_solution_fingerprints() {
-        // The worker-to-master cache merge (commit_speculation) must not
-        // perturb results: a dispatched multi-correction search carries
-        // the exact solution fingerprints of the serial engine.
-        let (good, bad) = two_chain_pair();
-        let mut device = bad.clone();
-        StuckAt::new(bad.find_by_name("t1").unwrap(), true)
-            .apply(&mut device)
-            .unwrap();
-        let (pi, _) = spec_and_vectors(&good, 64, 17);
-        let mut sim = Simulator::new();
-        let resp = Response::capture(&device, &sim.run_for_inputs(&device, bad.inputs(), &pi));
-        let run = |dispatch: bool, jobs: usize| {
-            let mut config = RectifyConfig::stuck_at_exhaustive(2);
-            config.dispatch = dispatch;
-            config.jobs = jobs;
-            Rectifier::new(bad.clone(), pi.clone(), resp.clone(), config)
-                .unwrap()
-                .run()
-        };
-        let serial = run(false, 1);
-        let dispatched = run(true, 3);
-        let fingerprint = |r: &RectifyResult| {
-            let mut v: Vec<Vec<Correction>> = r
-                .solutions
-                .iter()
-                .map(|s| {
-                    let mut c = s.corrections.clone();
-                    c.sort();
-                    c
-                })
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(fingerprint(&serial), fingerprint(&dispatched));
-        assert_eq!(serial.stats.nodes, dispatched.stats.nodes);
-        assert!(dispatched.stats.dispatch.is_some());
     }
 
     #[test]

@@ -40,14 +40,12 @@ pub trait Traversal: Debug + Send {
     /// order. `plan` arrives cleared. An empty plan ends the level.
     fn schedule(&mut self, tree: &Tree, plan: &mut Vec<usize>);
 
-    /// The policy reduced to a frontier priority: how urgently should
-    /// the child reached by applying `candidate` to `parent` be
-    /// speculatively evaluated by the
-    /// [dispatcher](crate::DispatchTelemetry)? Higher values pop first;
-    /// exact ties break by ascending [`Prio::seq`](crate::Prio) — the
-    /// push sequence number — so the pop order is deterministic for any
-    /// push order. The default is breadth-first (shallower children
-    /// first), matching both BFS policies.
+    /// The policy reduced to a priority for the child reached by
+    /// applying `candidate` to `parent`: higher means sooner. The
+    /// default is breadth-first (shallower children first), matching
+    /// both BFS policies. The engine never reads this; it stays only
+    /// because perfbench still forwards it, and goes once perfbench
+    /// stops (ROADMAP item 2).
     fn frontier_priority(&self, parent: &Node, candidate: &RankedCorrection) -> f64 {
         let _ = candidate;
         -((parent.depth() + 1) as f64)
@@ -128,8 +126,8 @@ impl Traversal for NaiveBfs {
 /// [`f64::total_cmp`], so NaN scores cannot poison the comparison)
 /// resolve toward the *lowest node index*, i.e. stable creation order.
 /// Node indices are the tree's push sequence numbers, so the scheduled
-/// node is a deterministic function of the tree contents alone — the
-/// property the dispatcher's frontier relies on to replay identically.
+/// node is a deterministic function of the tree contents alone, so a
+/// run replays identically.
 #[derive(Debug, Clone, Default)]
 pub struct BestFirst {
     /// SCOAP `CO` per line of the base netlist (empty until seeded).
@@ -368,7 +366,7 @@ mod tests {
         // NaN h1 scores take a fixed place in total_cmp's total order
         // (positive NaN above every real) instead of poisoning the
         // comparison — what the determinism contract needs is a total,
-        // stable order, and the dispatcher's Prio uses the same one.
+        // stable order.
         let t = tree_with(vec![
             Node::new(vec![], vec![rc(f64::NAN)], 1),
             child(1, vec![rc(0.1)], 1),

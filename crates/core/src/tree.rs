@@ -4,12 +4,6 @@
 //! node cap; [`Traversal`](crate::Traversal) strategies decide *which*
 //! open node expands next, but admission is policed here so every
 //! strategy shares identical cap semantics.
-//!
-//! Under dispatched runs (`RectifyConfig::dispatch` with `jobs > 1`)
-//! the tree is also the *only* durable frontier: the dispatcher's
-//! speculation queue in `dispatch.rs` predicts future expansions from
-//! the arena state but never owns it, so checkpoints and resume see
-//! exactly the serial tree.
 
 use incdx_fault::Correction;
 

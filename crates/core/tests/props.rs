@@ -345,126 +345,6 @@ proptest! {
         );
     }
 
-    /// The speculative dispatcher never perturbs the search: a
-    /// dispatched run (`dispatch = true` with several workers) finds the
-    /// same solutions and walks the same tree as the plain serial
-    /// engine, under every traversal policy. Schedule-dependent effort
-    /// counters (`words_simulated`, cache hits) are the only permitted
-    /// divergence, and the run must carry dispatcher telemetry whose
-    /// hit/miss ledger covers every speculable expansion.
-    #[test]
-    fn dispatched_search_matches_serial(
-        seed in 0u64..24,
-        pick in 0usize..1000,
-        v in prop::bool::ANY,
-        t in 0usize..4,
-        jobs in 2usize..5,
-    ) {
-        let golden = dag(seed);
-        let line = GateId::from_index(pick % golden.len());
-        let fault = StuckAt::new(line, v);
-        let mut device_nl = golden.clone();
-        if fault.apply(&mut device_nl).is_err() {
-            return Ok(());
-        }
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD15B);
-        let pi = PackedMatrix::random(golden.inputs().len(), 128, &mut rng);
-        let mut sim = Simulator::new();
-        let device = Response::capture(&device_nl, &sim.run_for_inputs(&device_nl, golden.inputs(), &pi));
-        {
-            let vals = sim.run(&golden, &pi);
-            if Response::compare(&golden, &vals, &device).matches() {
-                return Ok(()); // fault not excited
-            }
-        }
-        let run = |dispatch: bool, jobs: usize| {
-            let mut config = RectifyConfig::dedc(2);
-            config.traversal = TraversalKind::ALL[t];
-            config.dispatch = dispatch;
-            config.jobs = jobs;
-            Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
-                .expect("well-formed inputs")
-                .run()
-        };
-        let serial = run(false, 1);
-        let dispatched = run(true, jobs);
-        prop_assert_eq!(&serial.solutions, &dispatched.solutions);
-        prop_assert_eq!(serial.verdict, dispatched.verdict);
-        let (s, d) = (&serial.stats, &dispatched.stats);
-        prop_assert_eq!(s.nodes, d.nodes);
-        prop_assert_eq!(s.rounds, d.rounds);
-        prop_assert_eq!(s.expansions_skipped, d.expansions_skipped);
-        prop_assert_eq!(s.corrections_screened, d.corrections_screened);
-        prop_assert_eq!(s.corrections_qualified, d.corrections_qualified);
-        prop_assert_eq!(s.corrections_rejected_h2, d.corrections_rejected_h2);
-        prop_assert_eq!(s.corrections_rejected_h3, d.corrections_rejected_h3);
-        prop_assert_eq!(s.lines_rejected_h1, d.lines_rejected_h1);
-        prop_assert_eq!(s.deepest_ladder_level, d.deepest_ladder_level);
-        prop_assert_eq!(s.truncated, d.truncated);
-        prop_assert!(s.dispatch.is_none(), "serial runs carry no dispatcher telemetry");
-        let tel = d.dispatch.as_ref().expect("dispatched run records telemetry");
-        prop_assert!(tel.workers >= 1);
-        // Every non-root expansion consults the speculation cache
-        // exactly once: hit or miss, never unaccounted. The root node
-        // and dead-leaf re-visits are not speculable.
-        prop_assert!(
-            tel.speculative_hits + tel.speculative_misses <= d.nodes as u64,
-            "hit/miss ledger ({} + {}) exceeds evaluated nodes ({})",
-            tel.speculative_hits,
-            tel.speculative_misses,
-            d.nodes
-        );
-        // Executed work is conserved: everything a worker finished was
-        // either consumed as a hit or retired as wasted speculation.
-        prop_assert!(
-            tel.tasks_executed >= tel.speculative_hits,
-            "hits ({}) cannot exceed executed speculations ({})",
-            tel.speculative_hits,
-            tel.tasks_executed
-        );
-    }
-
-    /// `dispatch = true` with `jobs = 1` never arms the dispatcher: the
-    /// run is the legacy serial path, bit-identical counters included,
-    /// and records no dispatcher telemetry.
-    #[test]
-    fn dispatch_flag_with_one_job_stays_serial(seed in 0u64..20, pick in 0usize..1000, v in prop::bool::ANY) {
-        let golden = dag(seed);
-        let line = GateId::from_index(pick % golden.len());
-        let fault = StuckAt::new(line, v);
-        let mut device_nl = golden.clone();
-        if fault.apply(&mut device_nl).is_err() {
-            return Ok(());
-        }
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0D1);
-        let pi = PackedMatrix::random(golden.inputs().len(), 128, &mut rng);
-        let mut sim = Simulator::new();
-        let device = Response::capture(&device_nl, &sim.run_for_inputs(&device_nl, golden.inputs(), &pi));
-        {
-            let vals = sim.run(&golden, &pi);
-            if Response::compare(&golden, &vals, &device).matches() {
-                return Ok(());
-            }
-        }
-        let run = |dispatch: bool| {
-            let mut config = RectifyConfig::dedc(2);
-            config.dispatch = dispatch;
-            config.jobs = 1;
-            Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
-                .expect("well-formed inputs")
-                .run()
-        };
-        let plain = run(false);
-        let flagged = run(true);
-        prop_assert_eq!(&plain.solutions, &flagged.solutions);
-        let (p, f) = (&plain.stats, &flagged.stats);
-        prop_assert_eq!(p.nodes, f.nodes);
-        prop_assert_eq!(p.rounds, f.rounds);
-        prop_assert_eq!(p.corrections_screened, f.corrections_screened);
-        prop_assert_eq!(p.words_simulated, f.words_simulated);
-        prop_assert!(f.dispatch.is_none(), "one job never arms the dispatcher");
-    }
-
     /// `run_cone_events` leaves the value matrix bit-identical to a plain
     /// `run_cone` after an arbitrary single-line disturbance on a random
     /// circuit.
@@ -866,10 +746,6 @@ impl Evaluator for CountingPrepares {
     ) -> Option<PreparedNode> {
         self.prepares.fetch_add(1, Ordering::Relaxed);
         self.inner.prepare(ctx, corrections)
-    }
-
-    fn cached(&mut self, corrections: &[Correction]) -> Option<(Netlist, PackedMatrix)> {
-        self.inner.cached(corrections)
     }
 
     fn retain(&mut self, corrections: &[Correction], netlist: Netlist, vals: PackedMatrix) -> u64 {

@@ -453,129 +453,6 @@ proptest! {
         }
     }
 
-    /// Satellite — the dispatcher chaos contract: a chaos-armed
-    /// *dispatched* run (worker panics, matrix bit flips, width errors,
-    /// and the dispatcher-specific steal-site injections all enabled)
-    /// recovers to the exact solution set of a chaos-off *serial* run,
-    /// and the fault-to-degradation accounting stays 1:1 — wasted
-    /// speculations and panicked workers included. Steal-site panics
-    /// land in the same `panics` ledger as screening-worker panics, so
-    /// the identity `panics_recovered == summary.panics` pins both
-    /// boundaries at once.
-    #[test]
-    fn chaos_dispatched_recovery_matches_serial_chaos_off(
-        seed in 0u64..12,
-        chaos_seed in 0u64..48,
-        jobs in 2usize..5,
-    ) {
-        silence_injected_panics();
-        let golden = dag(seed ^ 0xD5, 40);
-        let picks = [(11 + seed as usize, false), (29 + 3 * seed as usize, true)];
-        let Some((pi, device)) = stuck_at_workload(&golden, &picks, 128, seed) else {
-            return Ok(()); // fault not excited on this draw
-        };
-        let run = |dispatch: bool, jobs: usize, chaos: Option<ChaosConfig>| {
-            let mut config = RectifyConfig::dedc(2);
-            config.dispatch = dispatch;
-            config.jobs = jobs;
-            config.chaos = chaos;
-            Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
-                .expect("well-formed inputs")
-                .run()
-        };
-        let clean = run(false, 1, None);
-        let chaotic = run(true, jobs, Some(ChaosConfig { seed: chaos_seed, rate: 0.05 }));
-
-        prop_assert_eq!(&clean.solutions, &chaotic.solutions, "recovery is lossless");
-        let summary = chaotic.stats.chaos.expect("chaos summary recorded");
-
-        // Every injected panic — screening worker or dispatcher
-        // steal-site — was recovered exactly once and surfaced as a
-        // worker-panic degradation.
-        prop_assert_eq!(chaotic.stats.parallel.panics_recovered, summary.panics);
-        let panic_events: u64 = chaotic
-            .stats
-            .degradations
-            .iter()
-            .filter(|d| d.kind == DegradationKind::WorkerPanic)
-            .map(|d| d.count)
-            .sum();
-        prop_assert_eq!(panic_events, summary.panics);
-        // Matrix corruptions caught by the audit layer, in workers and
-        // master alike.
-        let repair_events: u64 = chaotic
-            .stats
-            .degradations
-            .iter()
-            .filter(|d| {
-                matches!(
-                    d.kind,
-                    DegradationKind::AuditRepair | DegradationKind::EvaluatorFallback
-                )
-            })
-            .map(|d| d.count)
-            .sum();
-        prop_assert_eq!(repair_events, summary.bit_flips + summary.width_errors);
-        if summary.total() > 0 {
-            prop_assert_eq!(chaotic.verdict, Verdict::Degraded);
-        }
-    }
-
-    /// Satellite — checkpoint/resume under dispatch: a dispatched run
-    /// stopped by a node budget captures a checkpoint (speculations are
-    /// never part of it) that resumes — still dispatched — to the exact
-    /// solution set of an unlimited serial run. The node budget is
-    /// master-side deterministic, so the stop point itself is
-    /// schedule-independent.
-    #[test]
-    fn dispatched_budget_stop_resumes_to_unlimited_solutions(
-        seed in 0u64..12,
-        budget in 1u64..6,
-        jobs in 2usize..5,
-    ) {
-        let golden = dag(seed ^ 0xB4, 40);
-        let picks = [(9 + seed as usize, true), (23 + 2 * seed as usize, false)];
-        let Some((pi, device)) = stuck_at_workload(&golden, &picks, 128, seed) else {
-            return Ok(()); // fault not excited on this draw
-        };
-        let mut config = RectifyConfig::dedc(2);
-        config.dispatch = true;
-        config.jobs = jobs;
-
-        let unlimited = Rectifier::new(
-            golden.clone(),
-            pi.clone(),
-            device.clone(),
-            RectifyConfig::dedc(2),
-        )
-        .expect("well-formed inputs")
-        .run();
-
-        let mut limited_config = config.clone();
-        limited_config.limits.max_total_nodes = Some(budget);
-        let limited = Rectifier::new(golden.clone(), pi.clone(), device.clone(), limited_config)
-            .expect("well-formed inputs")
-            .run();
-        match limited.checkpoint {
-            Some(checkpoint) => {
-                prop_assert_eq!(limited.verdict, Verdict::BudgetExhausted);
-                assert_partials_replay(&golden, &pi, &device, &limited.partials);
-                let restored =
-                    Checkpoint::from_json(&checkpoint.to_json()).expect("JSON round trip");
-                let resumed = Rectifier::new(golden.clone(), pi.clone(), device.clone(), config)
-                    .expect("well-formed inputs")
-                    .resume(&restored)
-                    .expect("checkpoint accepted");
-                prop_assert_eq!(&resumed.solutions, &unlimited.solutions);
-                prop_assert_eq!(resumed.verdict, unlimited.verdict);
-            }
-            None => {
-                // The budget outlived the search: results are untouched.
-                prop_assert_eq!(&limited.solutions, &unlimited.solutions);
-            }
-        }
-    }
-
     /// The sparse-kernel chaos contract: a chaos-armed *sparse* run —
     /// block-summary flips included in the injection mix — recovers to
     /// the exact solution set of an undisturbed *dense* run. This pins
@@ -734,9 +611,9 @@ fn assert_solutions_replay(
 }
 
 /// Satellite — concurrent cancellation: `cancel()` fired from another
-/// thread races the engine's own `check_limits` polling (and, when
-/// dispatch is armed, the dispatcher workers polling the same shared
-/// token). Wherever the asynchronous flag lands, the run ends at a
+/// thread races the engine's own `check_limits` polling (and, with
+/// several jobs, the screening workers polling the same shared token).
+/// Wherever the asynchronous flag lands, the run ends at a
 /// clean plan boundary: the tree passes its invariant audit, partials
 /// and solutions replay, and any captured checkpoint is accepted by a
 /// fresh engine whose resumed results are equally clean. (Identity with
@@ -750,11 +627,10 @@ fn concurrent_cancel_races_limit_polling_cleanly() {
     let (pi, device) =
         stuck_at_workload(&golden, &[(17, false), (123, true)], 192, 11).expect("excited faults");
     let mut cancelled_runs = 0;
-    for dispatch in [false, true] {
+    for jobs in [1, 4] {
         for delay_us in [0u64, 80, 400, 2_000, 8_000] {
             let mut config = RectifyConfig::stuck_at_exhaustive(2);
-            config.dispatch = dispatch;
-            config.jobs = if dispatch { 4 } else { 1 };
+            config.jobs = jobs;
             let mut engine =
                 Rectifier::new(golden.clone(), pi.clone(), device.clone(), config.clone())
                     .expect("well-formed inputs");
@@ -768,7 +644,7 @@ fn concurrent_cancel_races_limit_polling_cleanly() {
 
             assert_eq!(
                 result.stats.audit_violations, 0,
-                "tree invariants hold under a racing cancel (dispatch={dispatch}, delay={delay_us}us)"
+                "tree invariants hold under a racing cancel (jobs={jobs}, delay={delay_us}us)"
             );
             assert_partials_replay(&golden, &pi, &device, &result.partials);
             assert_solutions_replay(&golden, &pi, &device, &result.solutions);

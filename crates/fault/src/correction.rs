@@ -122,20 +122,22 @@ impl Correction {
     /// Returns an error — leaving the netlist unchanged — if the action is
     /// structurally inapplicable (bad port, arity violation, cycle).
     pub fn apply(&self, netlist: &mut Netlist) -> Result<(), NetlistError> {
-        let gate = netlist.gate(self.line);
-        let kind = gate.kind();
-        let fanins = gate.fanins().to_vec();
+        let kind = netlist.gate(self.line).kind();
+        // Only the arms that edit the fanin list copy it: a constant tie
+        // reads none, and constants are what the per-node replays apply
+        // most.
+        let fanins = |n: &Netlist| n.gate(self.line).fanins().to_vec();
         let bad_port = |port: usize| NetlistError::UnknownGate {
             gate: GateId::from_index(port),
         };
         match self.action {
             CorrectionAction::SetConst(v) => netlist.tie(self.line, v).map(drop),
             CorrectionAction::ChangeKind(new_kind) => {
-                netlist.replace_gate(self.line, new_kind, fanins)
+                netlist.replace_gate(self.line, new_kind, fanins(netlist))
             }
             CorrectionAction::InvertInput { port } => {
-                let &src = fanins.get(port).ok_or_else(|| bad_port(port))?;
-                let mut f = fanins;
+                let mut f = fanins(netlist);
+                let &src = f.get(port).ok_or_else(|| bad_port(port))?;
                 // Toggling: if the wire already comes from an inverter,
                 // bypass it; otherwise insert one.
                 if netlist.gate(src).kind() == GateKind::Not {
@@ -146,15 +148,15 @@ impl Correction {
                 netlist.replace_gate(self.line, kind, f)
             }
             CorrectionAction::RemoveInput { port } => {
-                if port >= fanins.len() {
+                let mut f = fanins(netlist);
+                if port >= f.len() {
                     return Err(bad_port(port));
                 }
-                let mut f = fanins;
                 f.remove(port);
                 netlist.replace_gate(self.line, kind, f)
             }
             CorrectionAction::AddInput { source } => {
-                let mut f = fanins;
+                let mut f = fanins(netlist);
                 if f.contains(&source) || source == self.line {
                     return Err(NetlistError::DanglingFanin {
                         gate: self.line,
@@ -165,21 +167,25 @@ impl Correction {
                 netlist.replace_gate(self.line, kind, f)
             }
             CorrectionAction::ReplaceInput { port, source } => {
-                if port >= fanins.len() {
+                let mut f = fanins(netlist);
+                if port >= f.len() {
                     return Err(bad_port(port));
                 }
-                if fanins[port] == source || source == self.line {
+                if f[port] == source || source == self.line {
                     return Err(NetlistError::DanglingFanin {
                         gate: self.line,
                         fanin: source,
                     });
                 }
-                let mut f = fanins;
                 f[port] = source;
                 netlist.replace_gate(self.line, kind, f)
             }
             CorrectionAction::WireThrough { port } => {
-                let &src = fanins.get(port).ok_or_else(|| bad_port(port))?;
+                let &src = netlist
+                    .gate(self.line)
+                    .fanins()
+                    .get(port)
+                    .ok_or_else(|| bad_port(port))?;
                 netlist.replace_gate(self.line, GateKind::Buf, vec![src])
             }
             CorrectionAction::InsertGate {
@@ -195,7 +201,7 @@ impl Correction {
                     return Err(NetlistError::BadArity {
                         gate: self.line,
                         kind,
-                        found: fanins.len(),
+                        found: netlist.gate(self.line).fanins().len(),
                     });
                 }
                 // Pre-check the cycle guard before appending the aux gate so
@@ -203,7 +209,7 @@ impl Correction {
                 if netlist.fanout_cone(self.line).contains(other.index()) {
                     return Err(NetlistError::CombinationalCycle { gate: self.line });
                 }
-                let aux = netlist.append_gate(kind, fanins)?;
+                let aux = netlist.append_gate(kind, fanins(netlist))?;
                 netlist.replace_gate(self.line, new_kind, vec![aux, other])
             }
         }

@@ -18,10 +18,10 @@
 //! * every other first-party crate may use targeted panics (generators
 //!   and benches assert on internal invariants) but must never ship
 //!   `todo!(`, `unimplemented!(`, or leftover `dbg!(` calls;
-//! * `catch_unwind(` is denied in strict paths *except* at the
-//!   sanctioned worker boundaries ([`UNWIND_SANCTIONED`]) — panic
-//!   isolation lives in `run_parallel_with`'s workers and the frontier
-//!   dispatcher's worker loop, and swallowing panics anywhere else in
+//! * `catch_unwind(` is denied in strict paths *except* at the two
+//!   sanctioned boundaries ([`UNWIND_SANCTIONED`]) — panic isolation
+//!   lives in `run_parallel_with`'s workers and the serve daemon's
+//!   per-job slice boundary, and swallowing panics anywhere else in
 //!   the engine would hide real bugs from the recovery accounting.
 //!
 //! A line ending in a `panic-audit: allow` comment is exempt; use it for
@@ -37,21 +37,17 @@ pub const BASE_DENY: &[&str] = &["todo!(", "unimplemented!(", "dbg!("]; // panic
 /// Additional constructs denied in strict (engine) paths.
 pub const STRICT_DENY: &[&str] = &[".unwrap(", ".expect(", "panic!(", "unreachable!("]; // panic-audit: allow
 
-/// Denied in strict paths outside the sanctioned worker boundary:
-/// panic isolation is `run_parallel_with`'s job alone.
+/// Denied in strict paths outside the two sanctioned boundaries
+/// ([`UNWIND_SANCTIONED`]): panic isolation is their job alone.
 pub const UNWIND_DENY: &[&str] = &["catch_unwind("];
 
-/// Strict-path files allowed to use `catch_unwind(` — the worker
+/// Strict-path files allowed to use `catch_unwind(` — the two
 /// boundaries where panic isolation is implemented and every recovery
 /// is counted into the run's telemetry: the parallel screening workers
-/// (`run_parallel_with`), the frontier-dispatcher worker loop, and the
-/// serve daemon's per-job slice boundary (a panicking job fails alone
-/// and increments `panics_isolated`).
-pub const UNWIND_SANCTIONED: &[&str] = &[
-    "crates/core/src/parallel.rs",
-    "crates/core/src/dispatch.rs",
-    "crates/serve/src/server.rs",
-];
+/// (`run_parallel_with`) and the serve daemon's per-job slice boundary
+/// (a panicking job fails alone and increments `panics_isolated`).
+pub const UNWIND_SANCTIONED: &[&str] =
+    &["crates/core/src/parallel.rs", "crates/serve/src/server.rs"];
 
 /// Repo-relative source roots audited under the strict policy: the
 /// engine itself, the optimizer pre-pass that feeds it (a panic in
@@ -392,19 +388,19 @@ fn live() { y.unwrap(); }
     fn catch_unwind_denied_outside_sanctioned_boundary() {
         let engine_file = Path::new("crates/core/src/session.rs");
         let worker_file = Path::new("crates/core/src/parallel.rs");
-        let dispatch_file = Path::new("crates/core/src/dispatch.rs");
+        let retired_file = Path::new("crates/core/src/dispatch.rs");
         let base_file = Path::new("crates/bench/src/lib.rs");
         assert!(deny_for(true, engine_file).contains(&"catch_unwind("));
         assert!(!deny_for(true, worker_file).contains(&"catch_unwind("));
         assert!(
-            !deny_for(true, dispatch_file).contains(&"catch_unwind("),
-            "the dispatcher worker loop is the second sanctioned boundary"
+            deny_for(true, retired_file).contains(&"catch_unwind("),
+            "a deleted worker loop's path is no longer a sanctioned boundary"
         );
         let serve_file = Path::new("crates/serve/src/server.rs");
         let serve_other = Path::new("crates/serve/src/spool.rs");
         assert!(
             !deny_for(true, serve_file).contains(&"catch_unwind("),
-            "the daemon's slice boundary is the third sanctioned boundary"
+            "the daemon's slice boundary is the second sanctioned boundary"
         );
         assert!(
             deny_for(true, serve_other).contains(&"catch_unwind("),

@@ -28,17 +28,7 @@
 # at the suite default of 1024 a row holds only four 256-vector blocks,
 # so there is nothing for the block summary to skip.
 #
-# A third mode, `BENCH_MODE=scaling`, measures the speculative node
-# dispatcher: the fig2_rounds (best-first) and table2 workloads run at
-# --dispatch --jobs 1/2/4/8 and BENCH_scaling.json records wall and CPU
-# seconds per job count plus the dispatcher telemetry (speculative
-# hits/misses, steals, wasted tasks). The script asserts the solution
-# fingerprints are identical across every job count — the dispatcher's
-# determinism contract — and records the machine's core count, since
-# wall-clock speedup is bounded by physical parallelism (on a 1-core
-# host the expected speedup is <= 1.0 and the run measures overhead).
-#
-# A fourth mode, `BENCH_MODE=hierarchical`, benchmarks two-level
+# A third mode, `BENCH_MODE=hierarchical`, benchmarks two-level
 # hierarchical diagnosis at scale: the hier_scale binary runs paired
 # flat/hierarchical first-solution trials (identical injections, stems
 # of collapsed super-gates as fault sites) under one shared node budget
@@ -50,7 +40,7 @@
 # search exhausted — the mode's headline claim.
 #
 # Environment overrides (defaults reproduce the committed benchmarks):
-#   BENCH_MODE         incremental | simd | scaling | hierarchical  (default incremental)
+#   BENCH_MODE         incremental | simd | hierarchical  (default incremental)
 #   BENCH_REPEATS      simd mode: runs per kernel, summed  (default 5)
 #   BENCH_CIRCUITS     comma-separated suite circuits   (default c432a,c880a;
 #                      hierarchical: c6288a,parity2048,sec256)
@@ -92,9 +82,8 @@ TIME_LIMIT="${BENCH_TIME_LIMIT:-600}"
 case "$MODE" in
     incremental) OUT="${BENCH_OUT:-BENCH_incremental.json}" ;;
     simd)        OUT="${BENCH_OUT:-BENCH_simd.json}" ;;
-    scaling)     OUT="${BENCH_OUT:-BENCH_scaling.json}" ;;
     hierarchical) OUT="${BENCH_OUT:-BENCH_hierarchical.json}" ;;
-    *) echo "unknown BENCH_MODE $MODE (incremental|simd|scaling|hierarchical)" >&2; exit 2 ;;
+    *) echo "unknown BENCH_MODE $MODE (incremental|simd|hierarchical)" >&2; exit 2 ;;
 esac
 
 echo "==> build (release)"
@@ -265,98 +254,6 @@ if [ "$MODE" = hierarchical ]; then
                 "$hs" "$hr" "$hn" "$hw"
             printf ',"hier_solves_where_flat_exhausts":%s}' "$win"
             echo "    $ckt: ratio=$cr flat ${fs}/${fr} (${fn} nodes) hier ${hs}/${hr} (${hn} nodes) wins=$win" >&2
-        done
-        printf ']}\n'
-    } > "$OUT"
-    echo "wrote $OUT"
-    exit 0
-fi
-
-if [ "$MODE" = scaling ]; then
-    JOB_COUNTS="${BENCH_JOBS:-1 2 4 8}"
-    cores=$(nproc)
-    # One run of both workloads at a job count. Appends records to
-    # $tmp/j$1.jsonl and "<wall_s> <user_s> <sys_s>" per invocation to
-    # $tmp/j$1.times. fig2_rounds uses best-first (the policy whose
-    # frontier priorities the dispatcher exploits most); table2 keeps
-    # the paper's round-robin default. jobs=1 never arms the dispatcher
-    # (pure serial baseline); jobs>1 runs the speculative workers.
-    run_jobs() {
-        local jobs="$1" t0 t1 ckt
-        local TIMEFORMAT='%U %S'
-        for ckt in ${CIRCUITS//,/ }; do
-            t0=$(date +%s.%N)
-            { time "$bin/fig2_rounds" --circuits "$ckt" --vectors "$VECTORS" \
-                --seed "$SEED" --time-limit "$TIME_LIMIT" \
-                --traversal best-first --dispatch --jobs "$jobs" \
-                --json | grep '"report":"rectify"' >> "$tmp/j$jobs.jsonl"
-            } 2> "$tmp/one.cpu"
-            t1=$(date +%s.%N)
-            { awk -v a="$t0" -v b="$t1" 'BEGIN{printf "%.3f ", b-a}'
-              cat "$tmp/one.cpu"; } >> "$tmp/j$jobs.times"
-        done
-        t0=$(date +%s.%N)
-        { time "$bin/table2" --circuits "$CIRCUITS" --trials "$TRIALS" \
-            --vectors "$VECTORS" --seed "$SEED" --time-limit "$TIME_LIMIT" \
-            --dispatch --jobs "$jobs" \
-            --json | grep '"report":"rectify"' >> "$tmp/j$jobs.jsonl"
-        } 2> "$tmp/one.cpu"
-        t1=$(date +%s.%N)
-        { awk -v a="$t0" -v b="$t1" 'BEGIN{printf "%.3f ", b-a}'
-          cat "$tmp/one.cpu"; } >> "$tmp/j$jobs.times"
-    }
-    # Sorted "label solutions distinct_sites" fingerprint — the
-    # dispatcher must not change what the search finds at any job count.
-    fingerprint() {
-        sed -E 's/.*"label":"([^"]*)".*"solutions":([0-9]+),"distinct_sites":([0-9]+).*/\1 \2 \3/' \
-            "$1" | sort
-    }
-    sum_times() {
-        awk '{w += $1; c += $2 + $3} END {printf "%.3f %.3f", w, c}' "$tmp/j$1.times"
-    }
-    # Sums one numeric dispatcher-telemetry field across a run's records.
-    sum_field() {
-        awk -v f="\"$2\":" '{
-            while (match($0, f "[0-9]+")) {
-                s = substr($0, RSTART, RLENGTH); sub(/.*:/, "", s); total += s + 0
-                $0 = substr($0, RSTART + RLENGTH)
-            }
-        } END { print total + 0 }' "$tmp/j$1.jsonl"
-    }
-    for jobs in $JOB_COUNTS; do
-        echo "==> scaling run: --dispatch --jobs $jobs"
-        : > "$tmp/j$jobs.jsonl"; : > "$tmp/j$jobs.times"
-        run_jobs "$jobs"
-    done
-    base_jobs="${JOB_COUNTS%% *}"
-    base_fp="$(fingerprint "$tmp/j$base_jobs.jsonl")"
-    for jobs in $JOB_COUNTS; do
-        if [ "$(fingerprint "$tmp/j$jobs.jsonl")" != "$base_fp" ]; then
-            echo "jobs=$jobs diverged from the jobs=$base_jobs solution set" >&2
-            exit 1
-        fi
-    done
-    read -r base_wall _base_cpu <<< "$(sum_times "$base_jobs")"
-    {
-        printf '{"bench":"dispatch_scaling","seed":%s,"trials":%s,"vectors":%s,"circuits":"%s","cores":%s,"results_identical":true' \
-            "$SEED" "$TRIALS" "$VECTORS" "$CIRCUITS" "$cores"
-        printf ',"runs":['
-        first=1
-        for jobs in $JOB_COUNTS; do
-            read -r wall cpu <<< "$(sum_times "$jobs")"
-            speedup=$(awk -v b="$base_wall" -v w="$wall" \
-                'BEGIN{if (w > 0) printf "%.2f", b/w; else print "null"}')
-            hits=$(sum_field "$jobs" speculative_hits)
-            misses=$(sum_field "$jobs" speculative_misses)
-            stolen=$(sum_field "$jobs" tasks_stolen)
-            wasted=$(sum_field "$jobs" tasks_wasted)
-            executed=$(sum_field "$jobs" tasks_executed)
-            [ "$first" -eq 1 ] || printf ','
-            first=0
-            printf '{"jobs":%s,"wall_s":%s,"cpu_s":%s,"speedup_vs_serial":%s,"dispatch":{"tasks_executed":%s,"speculative_hits":%s,"speculative_misses":%s,"tasks_stolen":%s,"tasks_wasted":%s}}' \
-                "$jobs" "$wall" "$cpu" "$speedup" \
-                "$executed" "$hits" "$misses" "$stolen" "$wasted"
-            echo "    jobs=$jobs wall=${wall}s cpu=${cpu}s speedup=${speedup}x hits=$hits misses=$misses stolen=$stolen wasted=$wasted" >&2
         done
         printf ']}\n'
     } > "$OUT"

@@ -172,27 +172,6 @@ grep -q '"hier_solves_where_flat_exhausts"' "$hier_bench_out" \
     || { echo "hierarchical bench wrote no per-circuit comparison" >&2; exit 1; }
 rm -f "$hier_bench_out"
 
-echo "==> smoke: speculative dispatcher determinism (fig2_rounds --jobs 4)"
-# The dispatcher's contract: dispatched runs find exactly the serial
-# solution set, and repeated dispatched runs agree with each other.
-serial_set="$(cargo run -p incdx-bench --release --bin fig2_rounds -- \
-    --circuits c432a --vectors 256 --time-limit 30 --jobs 1 \
-    --json 2>/dev/null | solution_set)"
-[ -n "$serial_set" ] || { echo "fig2_rounds --jobs 1 emitted no reports" >&2; exit 1; }
-for rep in 1 2; do
-    dispatched_set="$(cargo run -p incdx-bench --release --bin fig2_rounds -- \
-        --circuits c432a --vectors 256 --time-limit 30 --dispatch --jobs 4 \
-        --json 2>/dev/null | solution_set)"
-    if [ "$dispatched_set" != "$serial_set" ]; then
-        echo "fig2_rounds --dispatch --jobs 4 (run $rep) diverged from --jobs 1" >&2
-        exit 1
-    fi
-done
-
-echo "==> smoke: dispatcher criterion microbench compiles"
-cargo bench -p incdx-bench --bench dispatch --no-run >/dev/null 2>&1 \
-    || { echo "criterion dispatch microbench failed to build" >&2; exit 1; }
-
 echo "==> smoke: sparse kernel criterion microbench"
 sparse_bench_out="$(cargo bench -p incdx-bench --bench sparse 2>/dev/null)"
 echo "$sparse_bench_out" | grep -q 'masked_popcount_16k/sparse' \
